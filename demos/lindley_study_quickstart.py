@@ -11,7 +11,7 @@ to finish in about a minute.
 
 import numpy as np
 
-from abn_forge import StudyConfig, run_lindley_study
+from abn_forge import StudyConfig, run_study
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
         master_seed=2,
     )
     print(f"running {config.replicates} replicates per density {config.densities} ...")
-    rows = run_lindley_study(config)
+    rows = run_study(config)
 
     print("\nmean fitted/true edge-count ratio (1.0 = matched complexity)")
     header = "prior  " + "".join(f"  d={d:<6}" for d in config.densities)

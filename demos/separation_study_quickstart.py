@@ -10,7 +10,7 @@ minute and prints the median TPR/FPR table instead of plotting it.
 
 import numpy as np
 
-from abn_forge import StudyConfig, run_separation_study
+from abn_forge import StudyConfig, run_study
 
 
 def median_table(rows, prior, sizes, metric):
@@ -36,7 +36,7 @@ def main():
         master_seed=4,
     )
     print(f"running {config.replicates} replicates at N in {config.sample_sizes} ...")
-    rows = run_separation_study(config)
+    rows = run_study(config)
 
     header = "prior  metric " + "".join(f"{n:>8}" for n in config.sample_sizes)
     print("\n" + header)

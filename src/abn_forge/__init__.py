@@ -15,7 +15,6 @@ from .data import (
     detect_separation,
     sample,
     separation_of_design,
-    separation_screen,
 )
 from .experiments import (
     LINDLEY,
@@ -25,8 +24,6 @@ from .experiments import (
     derive_rng,
     results_from_csv,
     results_to_csv,
-    run_lindley_study,
-    run_separation_study,
     run_study,
     summarize_rows,
     summary_from_csv,
@@ -56,11 +53,9 @@ from .score import (
     StudentTPrior,
     build_score_cache,
     fit_node,
-    log_marginal_likelihood,
     prior_from_name,
-    weakly_informative,
 )
-from .search import BestParentTable, SearchResult, best_parent_sets, brute_force_search, exact_search
+from .search import BestParentTable, SearchResult, best_parent_sets, exact_search
 from .svg import render_summary_svg
 
 __version__ = "0.1.0"
@@ -90,7 +85,6 @@ __all__ = [
     "StudyConfig",
     "aggregate_design",
     "best_parent_sets",
-    "brute_force_search",
     "build_score_cache",
     "compare",
     "derive_rng",
@@ -99,23 +93,18 @@ __all__ = [
     "exact_search",
     "fit_node",
     "is_acyclic",
-    "log_marginal_likelihood",
     "parse_graph_json",
     "prior_from_name",
     "random_dag",
     "render_summary_svg",
     "results_from_csv",
     "results_to_csv",
-    "run_lindley_study",
-    "run_separation_study",
     "run_study",
     "sample",
     "separation_of_design",
-    "separation_screen",
     "summarize_rows",
     "summary_from_csv",
     "summary_to_csv",
     "to_cpdag",
     "topological_order",
-    "weakly_informative",
 ]

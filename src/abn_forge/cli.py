@@ -26,7 +26,7 @@ from .experiments import (
     timings_to_csv,
 )
 from .graph import Cpdag, Dag, compare, parse_graph_json, to_cpdag
-from .score import ScoreCache, build_score_cache, describe_prior, prior_from_name
+from .score import ScoreCache, build_score_cache, prior_from_name
 from .search import exact_search
 from .svg import render_summary_svg
 
@@ -142,7 +142,7 @@ def _cmd_score(args) -> None:
     atomic_write_text(args.out, cache.to_csv())
     print(
         f"wrote {args.out}: {cache.total_entries()} entries for {cache.n_vars} nodes "
-        f"(prior: {describe_prior(prior)}; {len(cache.diagnostics)} failed fits)"
+        f"(prior: {prior.describe()}; {len(cache.diagnostics)} failed fits)"
     )
 
 

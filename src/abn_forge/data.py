@@ -324,39 +324,3 @@ def _weak_slack(signed: np.ndarray) -> float:
     if res.status != 0:  # pragma: no cover
         raise RuntimeError(f"separation LP failed: {res.message}")
     return -res.fun
-
-
-def separation_screen(
-    X: np.ndarray, y: np.ndarray, coef_bound: float = 10.0, max_iter: int = 25
-) -> bool:
-    """Cheap necessary-condition screen: does an unpenalised fit run away?
-
-    Runs a few damped Newton steps on the plain logistic likelihood and
-    reports whether the coefficient norm escapes ``coef_bound``.  Separated
-    designs always escape eventually; near-separated ones may too, so this is
-    a screen, not the classifier - use :func:`separation_of_design` for the
-    exact answer.
-    """
-    uniq, successes, trials = aggregate_design(X, y)
-    if len(trials) == 0:
-        return False
-    beta = np.zeros(uniq.shape[1])
-    for _ in range(max_iter):
-        p = expit(uniq @ beta)
-        w = trials * p * (1.0 - p)
-        grad = uniq.T @ (successes - trials * p)
-        hess = (uniq * w[:, None]).T @ uniq
-        hess[np.diag_indices_from(hess)] += 1e-10
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return True
-        limit = np.abs(step).max()
-        if limit > 5.0:
-            step *= 5.0 / limit
-        beta = beta + step
-        if np.abs(beta).max() > coef_bound:
-            return True
-        if limit < 1e-10:
-            return False
-    return bool(np.abs(beta).max() > coef_bound)

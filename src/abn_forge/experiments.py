@@ -303,12 +303,6 @@ def _run_cell_task(args: tuple) -> list[ResultRow]:
 def _worker_count(n_tasks: int, workers: int | None) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
-        env = os.environ.get("ABN_FORGE_THREADS")
-        if env is not None:
-            try:
-                workers = min(workers, int(env))
-            except ValueError as exc:
-                raise ValueError("ABN_FORGE_THREADS must be an integer") from exc
     return max(1, min(int(workers), max(n_tasks, 1)))
 
 
@@ -321,8 +315,8 @@ def run_study(
 
     ``runs_dir`` persists each cell's truth, dataset and per-prior estimate
     for later re-evaluation.  Cells run in a process pool when more than one
-    worker is available (``ABN_FORGE_THREADS`` caps the count); the sort makes
-    output independent of scheduling.
+    worker is available (``workers``, by default the CPU count); the sort
+    makes output independent of scheduling.
     """
     replicate_ids = (
         config.replicate_ids if config.replicate_ids is not None else tuple(range(config.replicates))
@@ -345,26 +339,6 @@ def run_study(
                 rows.extend(chunk)
     rows.sort(key=lambda r: (r.prior_name, r.density, r.n_obs, r.replicate))
     return rows
-
-
-def run_separation_study(
-    config: StudyConfig,
-    runs_dir: str | os.PathLike | None = None,
-    workers: int | None = None,
-) -> list[ResultRow]:
-    if config.study != SEPARATION:
-        raise ValueError(f"config is for the {config.study!r} study")
-    return run_study(config, runs_dir=runs_dir, workers=workers)
-
-
-def run_lindley_study(
-    config: StudyConfig,
-    runs_dir: str | os.PathLike | None = None,
-    workers: int | None = None,
-) -> list[ResultRow]:
-    if config.study != LINDLEY:
-        raise ValueError(f"config is for the {config.study!r} study")
-    return run_study(config, runs_dir=runs_dir, workers=workers)
 
 
 def _format_value(value) -> str:

@@ -32,7 +32,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from itertools import combinations
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -61,6 +62,19 @@ class HessianNotPositiveDefinite(FitError):
     """The negative Hessian at the mode admits no Cholesky factor."""
 
 
+class PriorTerms(NamedTuple):
+    """A coefficient prior resolved for one fit: all the IRLS fit needs of it.
+
+    ``precision`` is the diagonal IRLS working precision at a coefficient
+    vector and ``curvature`` the diagonal of minus the log prior's Hessian.
+    """
+
+    centre: np.ndarray
+    log_density: Callable[[np.ndarray], float]
+    precision: Callable[[np.ndarray], np.ndarray]
+    curvature: Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPrior:
     """Independent normal priors; ``mean`` and ``variance`` broadcast per coefficient.
@@ -81,10 +95,28 @@ class GaussianPrior:
             raise ValueError("prior variances must be positive")
         return mean, variance
 
+    def terms(self, n_coef: int) -> PriorTerms:
+        """The prior over ``n_coef`` coefficients as one fit uses it."""
+        mean, variance = self.resolve(n_coef)
+        precision = _gaussian_curvature(variance)
+        return PriorTerms(
+            centre=mean,
+            log_density=lambda coef: _gaussian_log_prior(coef, mean, variance),
+            precision=lambda coef: precision,
+            curvature=lambda coef: precision,
+        )
 
-def weakly_informative(variance: float = 1000.0) -> GaussianPrior:
-    """The zero-mean large-variance Gaussian prior used as the diffuse default."""
-    return GaussianPrior(mean=0.0, variance=variance)
+    def for_node(self, node: int, parent_mask: int) -> GaussianPrior:
+        """The coefficient prior for one candidate parent set: this one, anywhere."""
+        return self
+
+    def describe(self) -> str:
+        """The label of the ``# prior:`` cache header and the CLI summary."""
+        mean = np.asarray(self.mean, dtype=float)
+        variance = np.asarray(self.variance, dtype=float)
+        if mean.ndim == 0 and variance.ndim == 0:
+            return f"gaussian mean={float(mean):g} variance={float(variance):g}"
+        return "gaussian (per-coefficient)"
 
 
 @dataclass(frozen=True)
@@ -110,6 +142,25 @@ class StudentTPrior:
         scales = np.full(n_coef, float(self.scale))
         scales[0] = float(self.intercept_scale)
         return loc, scales
+
+    def terms(self, n_coef: int) -> PriorTerms:
+        loc, scales = self.resolve(n_coef)
+        df = float(self.df)
+
+        def precision(coef: np.ndarray) -> np.ndarray:
+            # EM step: the t prior conditional on ``coef`` is this Gaussian
+            u = coef - loc
+            return _gaussian_curvature((df * scales * scales + u * u) / (df + 1.0))
+
+        return PriorTerms(
+            centre=loc,
+            log_density=lambda coef: _student_log_prior(coef, loc, scales, df),
+            precision=precision,
+            curvature=lambda coef: _student_curvature(coef, loc, scales, df),
+        )
+
+    def for_node(self, node: int, parent_mask: int) -> StudentTPrior:
+        return self
 
     def describe(self) -> str:
         return (
@@ -156,23 +207,17 @@ class StrongGaussianPrior:
                 var.append(self.variance)
         return GaussianPrior(mean=np.array(mean), variance=np.array(var))
 
-
-Prior = Union[GaussianPrior, StudentTPrior]
-
-
-def describe_prior(prior: Prior | StrongGaussianPrior) -> str:
-    if isinstance(prior, StudentTPrior):
-        return prior.describe()
-    if isinstance(prior, StrongGaussianPrior):
+    def describe(self) -> str:
         return (
-            f"gaussian_informed variance={prior.variance:g} "
-            f"absent_variance={prior.absent_variance:g}"
+            f"gaussian_informed variance={self.variance:g} "
+            f"absent_variance={self.absent_variance:g}"
         )
-    mean = np.asarray(prior.mean, dtype=float)
-    variance = np.asarray(prior.variance, dtype=float)
-    if mean.ndim == 0 and variance.ndim == 0:
-        return f"gaussian mean={float(mean):g} variance={float(variance):g}"
-    return "gaussian (per-coefficient)"
+
+
+# A prior on the coefficients of one fit, and a prior for a whole network:
+# ``for_node`` turns the latter into the former for each candidate parent set.
+CoefficientPrior = Union[GaussianPrior, StudentTPrior]
+Prior = Union[GaussianPrior, StudentTPrior, StrongGaussianPrior]
 
 
 def _gaussian_log_prior(coef: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
@@ -234,7 +279,7 @@ class NodeFit:
 def fit_node(
     X: np.ndarray,
     y: np.ndarray,
-    prior: Prior,
+    prior: CoefficientPrior,
     *,
     tol: float = 1e-8,
     max_iter: int = 200,
@@ -266,7 +311,7 @@ def _fit_aggregated(
     patterns: np.ndarray,
     successes: np.ndarray,
     trials: np.ndarray,
-    prior: Prior,
+    prior: CoefficientPrior,
     *,
     tol: float = 1e-8,
     max_iter: int = 200,
@@ -274,23 +319,12 @@ def _fit_aggregated(
 ) -> NodeFit:
     n_coef = patterns.shape[1]
     n_obs = int(round(trials.sum())) if len(trials) else 0
-    student = isinstance(prior, StudentTPrior)
-    if student:
-        loc, scales = prior.resolve(n_coef)
-        df = float(prior.df)
-        mean = loc
-    else:
-        mean, variance = prior.resolve(n_coef)
-
-    def log_prior(coef: np.ndarray) -> float:
-        if student:
-            return _student_log_prior(coef, loc, scales, df)
-        return _gaussian_log_prior(coef, mean, variance)
+    terms = prior.terms(n_coef)
 
     def log_post(coef: np.ndarray) -> float:
-        return _binomial_loglik(patterns, successes, trials, coef) + log_prior(coef)
+        return _binomial_loglik(patterns, successes, trials, coef) + terms.log_density(coef)
 
-    beta = mean.copy()
+    beta = terms.centre.copy()
     current = log_post(beta)
     converged = False
     iterations = 0
@@ -298,17 +332,12 @@ def _fit_aggregated(
 
     for sweep in range(1, max_iter + 1):
         iterations = sweep
-        if student:
-            u = beta - loc
-            working_var = (df * scales * scales + u * u) / (df + 1.0)
-        else:
-            working_var = variance
-        inv_var = _gaussian_curvature(working_var)
+        inv_var = terms.precision(beta)
 
         eta = patterns @ beta
         p = expit(eta)
         w = trials * p * (1.0 - p)
-        grad = patterns.T @ (successes - trials * p) - (beta - mean) * inv_var
+        grad = patterns.T @ (successes - trials * p) - (beta - terms.centre) * inv_var
         hess = (patterns * w[:, None]).T @ patterns
         hess[diag, diag] += inv_var
         try:
@@ -336,11 +365,7 @@ def _fit_aggregated(
     p = expit(patterns @ beta)
     w = trials * p * (1.0 - p)
     neg_hessian = (patterns * w[:, None]).T @ patterns
-    if student:
-        curv = _student_curvature(beta, loc, scales, df)
-    else:
-        curv = _gaussian_curvature(variance)
-    neg_hessian[diag, diag] += curv
+    neg_hessian[diag, diag] += terms.curvature(beta)
 
     if n_obs == 0:
         log_marginal = 0.0
@@ -370,30 +395,6 @@ def _laplace_value(log_posterior_at_mode: float, neg_hessian: np.ndarray) -> flo
         raise HessianNotPositiveDefinite("negative Hessian is not positive definite") from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return log_posterior_at_mode + 0.5 * n_coef * LOG_2PI - 0.5 * log_det
-
-
-def log_marginal_likelihood(fit: NodeFit, X: np.ndarray, y: np.ndarray, prior: Prior) -> float:
-    """Laplace log marginal likelihood of the data under the fitted mode.
-
-    With no observations the marginal likelihood of the empty product is 1,
-    so the result is exactly 0 for every prior.  Raises
-    :class:`HessianNotPositiveDefinite` when the stored curvature admits no
-    Cholesky factor.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(y) == 0:
-        return 0.0
-    patterns, successes, trials = aggregate_design(X, y)
-    n_coef = len(fit.coef)
-    if isinstance(prior, StudentTPrior):
-        loc, scales = prior.resolve(n_coef)
-        log_prior = _student_log_prior(fit.coef, loc, scales, float(prior.df))
-    else:
-        mean, variance = prior.resolve(n_coef)
-        log_prior = _gaussian_log_prior(fit.coef, mean, variance)
-    log_post = _binomial_loglik(patterns, successes, trials, fit.coef) + log_prior
-    return _laplace_value(log_post, fit.neg_hessian)
 
 
 @dataclass(frozen=True)
@@ -483,19 +484,19 @@ class ScoreCache:
         )
 
 
-def parent_masks(n_vars: int, node: int, max_parents: int) -> Iterator[int]:
-    """All candidate parent masks for ``node``, ascending."""
-    for mask in range(1 << n_vars):
-        if (mask >> node) & 1:
-            continue
-        if mask.bit_count() > max_parents:
-            continue
-        yield mask
+def parent_masks(n_vars: int, node: int, max_parents: int) -> list[int]:
+    """All candidate parent masks for ``node`` with at most ``max_parents`` bits, ascending."""
+    others = [1 << v for v in range(n_vars) if v != node]
+    return sorted(
+        sum(combo)
+        for size in range(min(max_parents, len(others)) + 1)
+        for combo in combinations(others, size)
+    )
 
 
 def build_score_cache(
     data: Dataset,
-    prior: Prior | StrongGaussianPrior,
+    prior: Prior,
     max_parents: int | None = None,
     *,
     tol: float = 1e-8,
@@ -539,7 +540,7 @@ def build_score_cache(
             for i, parent in enumerate(parents):
                 patterns[:, 1 + i] = (uniq_codes >> parent) & 1
 
-            node_prior = prior.for_node(node, mask) if isinstance(prior, StrongGaussianPrior) else prior
+            node_prior = prior.for_node(node, mask)
             sep = separation_of_patterns(patterns, successes, trials)
             try:
                 fit = _fit_aggregated(
@@ -570,7 +571,7 @@ def build_score_cache(
         max_parents=max_parents,
         entries=entries,
         diagnostics=diagnostics,
-        prior_label=describe_prior(prior),
+        prior_label=prior.describe(),
     )
 
 
@@ -584,11 +585,11 @@ def prior_from_name(
     st_intercept_scale: float = 10.0,
     si_variance: float = 0.1,
     si_absent_variance: float = 1000.0,
-) -> Prior | StrongGaussianPrior:
+) -> Prior:
     """Build a prior from its short study name: ``wi``, ``st`` or ``si``."""
     key = name.strip().lower()
     if key == "wi":
-        return weakly_informative(wi_variance)
+        return GaussianPrior(mean=0.0, variance=wi_variance)
     if key == "st":
         return StudentTPrior(df=st_df, scale=st_scale, intercept_scale=st_intercept_scale)
     if key == "si":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dag, is_acyclic
+from .graph import Dag
 from .score import ScoreCache
 
 
@@ -124,47 +124,3 @@ def exact_search(cache: ScoreCache) -> SearchResult:
     # search that lands on the same structure, whatever its accumulation order
     total = sum(cache.score(j, parents[j]) for j in range(n))
     return SearchResult(dag=Dag(n, tuple(parents)), total_score=float(total))
-
-
-def brute_force_search(cache: ScoreCache) -> SearchResult:
-    """Reference optimum by enumerating parent-set combinations, n <= 5 only.
-
-    Walks the nodes depth-first, assigning each node one of its cached parent
-    sets and abandoning a branch as soon as the partial graph closes a cycle.
-    Scores must match :func:`exact_search` exactly; on ties the selected DAG
-    may legitimately differ.
-    """
-    n = cache.n_vars
-    if n > 5:
-        raise ValueError("brute force enumeration is for n <= 5")
-    options: list[list[tuple[int, float]]] = []
-    for node in range(n):
-        node_options = sorted(
-            (m, entry.log_score) for (j, m), entry in cache.entries.items() if j == node
-        )
-        if not node_options:
-            raise ValueError(f"cache has no entries for node {node}")
-        options.append(node_options)
-
-    best_total = -np.inf
-    best_parents: tuple[int, ...] | None = None
-    chosen = [0] * n
-
-    def descend(node: int, partial: float) -> None:
-        nonlocal best_total, best_parents
-        if node == n:
-            if partial > best_total:
-                best_total = partial
-                best_parents = tuple(chosen)
-            return
-        for m, s in options[node]:
-            chosen[node] = m
-            if is_acyclic(tuple(chosen[: node + 1]) + (0,) * (n - node - 1)):
-                descend(node + 1, partial + s)
-        chosen[node] = 0
-
-    descend(0, 0.0)
-    if best_parents is None:
-        raise RuntimeError("no acyclic assignment found")
-    total = sum(cache.score(j, best_parents[j]) for j in range(n))
-    return SearchResult(dag=Dag(n, best_parents), total_score=float(total))

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own algorithms: separation
 is decided by exact Fourier-Motzkin elimination over rationals, equivalence
-classes by enumerating all DAGs over a skeleton, marginal likelihoods by
-numerical integration, and the unpenalised MLE by a plain Newton loop.
+classes by enumerating all DAGs over a skeleton, the best network under a
+score cache by walking every acyclic choice of cached parent sets, marginal
+likelihoods by numerical integration, and the unpenalised MLE by a plain
+Newton loop.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, optimize, stats
 from scipy.special import gammaln
+
+from abn_forge import Dag, ScoreCache, SearchResult
 
 # ---------------------------------------------------------------------------
 # linear-inequality feasibility by Fourier-Motzkin elimination (exact)
@@ -93,6 +97,11 @@ def fm_separation(X: np.ndarray, y: np.ndarray) -> str:
 # DAG enumeration and equivalence classes
 
 
+def _mask_edges(parent_masks) -> set[tuple[int, int]]:
+    n = len(parent_masks)
+    return {(p, c) for c, m in enumerate(parent_masks) for p in range(n) if (m >> p) & 1}
+
+
 def _acyclic_edges(n: int, edges: set[tuple[int, int]]) -> bool:
     color = [0] * n
     adj = [[] for _ in range(n)]
@@ -118,8 +127,7 @@ def enumerate_dags(n: int) -> list[tuple[int, ...]]:
     all_masks = [[m for m in range(1 << n) if not (m >> j) & 1] for j in range(n)]
     out = []
     for combo in itertools.product(*all_masks):
-        edges = {(p, c) for c, m in enumerate(combo) for p in range(n) if (m >> p) & 1}
-        if _acyclic_edges(n, edges):
+        if _acyclic_edges(n, _mask_edges(combo)):
             out.append(combo)
     return out
 
@@ -142,7 +150,7 @@ def cpdag_oracle(n: int, parent_masks: tuple[int, ...]) -> tuple[set, set]:
     with the same v-structures, and reports an edge as directed only when all
     class members agree.  Returns (directed pairs, undirected pairs a<b).
     """
-    edges = {(p, c) for c, m in enumerate(parent_masks) for p in range(n) if (m >> p) & 1}
+    edges = _mask_edges(parent_masks)
     skeleton = sorted({(min(a, b), max(a, b)) for a, b in edges})
     target_v = _vstructures(n, edges)
     members = []
@@ -161,6 +169,50 @@ def cpdag_oracle(n: int, parent_masks: tuple[int, ...]) -> tuple[set, set]:
         if (a, b) not in directed
     }
     return directed, undirected
+
+
+def brute_force_search(cache: ScoreCache) -> SearchResult:
+    """Reference optimum by enumerating parent-set combinations, n <= 5 only.
+
+    Walks the nodes depth-first, assigning each node one of its cached parent
+    sets and abandoning a branch as soon as the partial graph closes a cycle.
+    Scores must match the library's exact search exactly; on ties the
+    selected DAG may legitimately differ.
+    """
+    n = cache.n_vars
+    if n > 5:
+        raise ValueError("brute force enumeration is for n <= 5")
+    options: list[list[tuple[int, float]]] = []
+    for node in range(n):
+        node_options = sorted(
+            (m, entry.log_score) for (j, m), entry in cache.entries.items() if j == node
+        )
+        if not node_options:
+            raise ValueError(f"cache has no entries for node {node}")
+        options.append(node_options)
+
+    best_total = -np.inf
+    best_parents: tuple[int, ...] | None = None
+    chosen = [0] * n
+
+    def descend(node: int, partial: float) -> None:
+        nonlocal best_total, best_parents
+        if node == n:
+            if partial > best_total:
+                best_total = partial
+                best_parents = tuple(chosen)
+            return
+        for m, s in options[node]:
+            chosen[node] = m
+            if _acyclic_edges(n, _mask_edges(chosen[: node + 1] + [0] * (n - node - 1))):
+                descend(node + 1, partial + s)
+        chosen[node] = 0
+
+    descend(0, 0.0)
+    if best_parents is None:
+        raise RuntimeError("no acyclic assignment found")
+    total = sum(cache.score(j, best_parents[j]) for j in range(n))
+    return SearchResult(dag=Dag(n, best_parents), total_score=float(total))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from abn_forge import (
     ScoreCache,
     SeparationStatus,
     StudentTPrior,
-    brute_force_search,
     exact_search,
     fit_node,
     separation_of_design,
@@ -28,6 +27,7 @@ from abn_forge import (
 from abn_forge.experiments import StudyConfig, results_to_csv, run_study
 from abn_forge.score import parent_masks
 from oracles import (
+    brute_force_search,
     cpdag_oracle,
     enumerate_dags,
     fm_separation,

@@ -14,7 +14,6 @@ from abn_forge import (
     detect_separation,
     sample,
     separation_of_design,
-    separation_screen,
 )
 from oracles import fm_separation
 
@@ -199,16 +198,3 @@ class TestSeparationStatus:
         # must never report complete where the weak certificate is infeasible
         X, y = design([[0, 0, 1, 1]], [0, 0, 1, 1])
         assert fm_separation(X, y) == "complete"
-
-
-class TestSeparationScreen:
-    def test_separated_fit_escapes(self):
-        X, y = design([[0, 0, 1, 1]], [0, 0, 1, 1])
-        assert separation_screen(X, y)
-
-    def test_overlapping_fit_stays_bounded(self):
-        rng = np.random.default_rng(11)
-        x = rng.integers(0, 2, 400)
-        y = (rng.uniform(size=400) < expit(1.0 * x - 0.5)).astype(float)
-        X = np.column_stack([np.ones(400), x]).astype(float)
-        assert not separation_screen(X, y)

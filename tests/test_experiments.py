@@ -16,8 +16,6 @@ from abn_forge.experiments import (
     derive_rng,
     results_from_csv,
     results_to_csv,
-    run_lindley_study,
-    run_separation_study,
     run_study,
     summarize_rows,
     summary_from_csv,
@@ -117,7 +115,7 @@ class TestStudyConfig:
 
 class TestRunStudy:
     def test_zero_replicates_give_no_rows(self):
-        assert run_separation_study(tiny_separation_config(replicates=0)) == []
+        assert run_study(tiny_separation_config(replicates=0)) == []
 
     def test_row_count_and_sorting(self):
         config = tiny_separation_config(sample_sizes=(40, 80))
@@ -143,11 +141,6 @@ class TestRunStudy:
         parallel = results_to_csv(run_study(config, workers=2))
         assert serial == parallel
 
-    def test_worker_env_cap_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("ABN_FORGE_THREADS", "many")
-        with pytest.raises(ValueError, match="ABN_FORGE_THREADS"):
-            run_study(tiny_separation_config(replicates=1))
-
     def test_replicate_subset_reproduces_full_run_rows(self):
         config = tiny_separation_config(replicates=4)
         full = run_study(config, workers=1)
@@ -165,11 +158,6 @@ class TestRunStudy:
             run_study(tiny_separation_config(intercept=5.0), workers=1)
         )
         assert balanced != shifted
-
-    def test_study_wrappers_reject_mismatched_config(self):
-        config = tiny_separation_config()
-        with pytest.raises(ValueError, match="separation"):
-            run_lindley_study(config)
 
     def test_empty_truth_rows_are_flagged(self):
         config = StudyConfig(

@@ -9,10 +9,10 @@ from abn_forge import (
     ScoreCache,
     SeparationStatus,
     best_parent_sets,
-    brute_force_search,
     exact_search,
 )
 from abn_forge.score import parent_masks
+from oracles import brute_force_search
 
 
 def random_cache(n_vars, rng, max_parents=None):
