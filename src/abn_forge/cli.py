@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from ._util import atomic_write_text
-from .data import AbnParams, Dataset, sample
+from .data import AbnParams, Dataset, SeparationStatus, sample
 from .experiments import (
     StudyConfig,
     results_from_csv,
@@ -140,9 +141,13 @@ def _cmd_score(args) -> None:
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
     atomic_write_text(args.out, cache.to_csv())
+    # to_csv classified every entry, so the tally reads the statuses it wrote
+    tally = Counter(cache.separation(node, mask) for node, mask in cache.entries)
+    separation = ", ".join(f"{tally[status]} {status.value}" for status in SeparationStatus)
     print(
         f"wrote {args.out}: {cache.total_entries()} entries for {cache.n_vars} nodes "
-        f"(prior: {prior.describe()}; {len(cache.diagnostics)} failed fits)"
+        f"(prior: {prior.describe()}; {len(cache.diagnostics)} failed fits; "
+        f"separation: {separation})"
     )
 
 

@@ -32,7 +32,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -272,8 +271,8 @@ class NodeFit:
     log_marginal: float
     converged: bool
     iterations: int
-    separation: SeparationStatus
     n_obs: int
+    separation: SeparationStatus | None = None
 
 
 def fit_node(
@@ -301,10 +300,9 @@ def fit_node(
     if len(y) and not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("outcomes must be 0 or 1")
     patterns, successes, trials = aggregate_design(X, y)
-    separation = separation_of_patterns(patterns, successes, trials)
-    return _fit_aggregated(
-        patterns, successes, trials, prior, tol=tol, max_iter=max_iter, separation=separation
-    )
+    fit = _fit_aggregated(patterns, successes, trials, prior, tol=tol, max_iter=max_iter)
+    fit.separation = separation_of_patterns(patterns, successes, trials)
+    return fit
 
 
 def _fit_aggregated(
@@ -315,7 +313,6 @@ def _fit_aggregated(
     *,
     tol: float = 1e-8,
     max_iter: int = 200,
-    separation: SeparationStatus,
 ) -> NodeFit:
     n_coef = patterns.shape[1]
     n_obs = int(round(trials.sum())) if len(trials) else 0
@@ -382,7 +379,6 @@ def _fit_aggregated(
         log_marginal=log_marginal,
         converged=converged,
         iterations=iterations,
-        separation=separation,
         n_obs=n_obs,
     )
 
@@ -401,21 +397,43 @@ def _laplace_value(log_posterior_at_mode: float, neg_hessian: np.ndarray) -> flo
 class CacheEntry:
     log_score: float
     converged: bool
-    separation: SeparationStatus
 
 
 @dataclass
 class ScoreCache:
-    """Log scores for every (node, parent mask) pair up to a parent-count cap."""
+    """Log scores for every (node, parent mask) pair up to a parent-count cap.
+
+    The separation status of an entry is not needed to score or search, so a
+    cache built from data classifies an entry's table only when
+    :meth:`separation` asks for it, and keeps the answer in ``separations``.
+    A cache read from CSV has every status from the file's column.
+    """
 
     n_vars: int
     max_parents: int
     entries: dict[tuple[int, int], CacheEntry]
     diagnostics: list[tuple[int, int, str]] = field(default_factory=list)
     prior_label: str = ""
+    separations: dict[tuple[int, int], SeparationStatus] = field(default_factory=dict)
+    data: Dataset | None = field(default=None, repr=False, compare=False)
 
     def score(self, node: int, parent_mask: int) -> float:
         return self.entries[(node, parent_mask)].log_score
+
+    def separation(self, node: int, parent_mask: int) -> SeparationStatus:
+        """Albert-Anderson status of one entry's table, classified on first request."""
+        key = (node, parent_mask)
+        status = self.separations.get(key)
+        if status is None:
+            if key not in self.entries:
+                raise KeyError(key)
+            if self.data is None:
+                raise ValueError(f"no separation status for {key} and no data to classify it")
+            table = _parent_table(
+                self.data.row_patterns(), self.data.values[:, node].astype(float), parent_mask
+            )
+            status = self.separations[key] = separation_of_patterns(*table)
+        return status
 
     def total_entries(self) -> int:
         return len(self.entries)
@@ -436,7 +454,7 @@ class ScoreCache:
                     mask,
                     repr(entry.log_score),
                     "true" if entry.converged else "false",
-                    entry.separation.value,
+                    self.separation(node, mask).value,
                 ]
             )
         return buf.getvalue()
@@ -465,13 +483,11 @@ class ScoreCache:
         if header[:3] != ["node", "parent_mask", "log_score"]:
             raise ValueError(f"unexpected cache header: {header}")
         entries: dict[tuple[int, int], CacheEntry] = {}
+        separations: dict[tuple[int, int], SeparationStatus] = {}
         for row in rows[1:]:
-            node, mask = int(row[0]), int(row[1])
-            entries[(node, mask)] = CacheEntry(
-                log_score=float(row[2]),
-                converged=row[3] == "true",
-                separation=SeparationStatus(row[4]),
-            )
+            key = (int(row[0]), int(row[1]))
+            entries[key] = CacheEntry(log_score=float(row[2]), converged=row[3] == "true")
+            separations[key] = SeparationStatus(row[4])
         if n_vars is None:
             n_vars = max(node for node, _ in entries) + 1
         if max_parents is None:
@@ -481,17 +497,41 @@ class ScoreCache:
             max_parents=max_parents,
             entries=entries,
             prior_label=prior_label,
+            separations=separations,
         )
 
 
 def parent_masks(n_vars: int, node: int, max_parents: int) -> list[int]:
     """All candidate parent masks for ``node`` with at most ``max_parents`` bits, ascending."""
-    others = [1 << v for v in range(n_vars) if v != node]
-    return sorted(
-        sum(combo)
-        for size in range(min(max_parents, len(others)) + 1)
-        for combo in combinations(others, size)
-    )
+    masks = [0]
+    growable = [0] if max_parents > 0 else []  # the masks below the cap, ascending
+    for v in range(n_vars):
+        if v != node:
+            # every mask so far lies below bit v, so the extensions follow in order
+            grown = [mask | 1 << v for mask in growable]
+            masks += grown
+            growable += [mask for mask in grown if mask.bit_count() < max_parents]
+    return masks
+
+
+def _parent_table(
+    codes: np.ndarray, y: np.ndarray, parent_mask: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
+
+    ``codes`` are the dataset's packed rows and ``y`` the node's column as floats.
+    """
+    parents = _bits(parent_mask)
+    sub = codes & parent_mask
+    uniq_codes, inverse = np.unique(sub, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    trials = np.bincount(inverse, minlength=len(uniq_codes)).astype(float)
+    successes = np.bincount(inverse, weights=y, minlength=len(uniq_codes))
+    patterns = np.empty((len(uniq_codes), 1 + len(parents)))
+    patterns[:, 0] = 1.0
+    for i, parent in enumerate(parents):
+        patterns[:, 1 + i] = (uniq_codes >> parent) & 1
+    return patterns, successes, trials
 
 
 def build_score_cache(
@@ -509,7 +549,8 @@ def build_score_cache(
     cache as -inf with a diagnostic, so downstream search simply never picks
     it.  Entries are computed in ascending (node, mask) order, which together
     with row-order-free aggregation makes the cache a pure function of the
-    data multiset.
+    data multiset.  No table is classified for separation here; the cache
+    keeps ``data`` so that :meth:`ScoreCache.separation` can do it on request.
     """
     n = data.n_vars
     if n < 1:
@@ -529,42 +570,25 @@ def build_score_cache(
     for node in range(n):
         y = columns[:, node]
         for mask in parent_masks(n, node, max_parents):
-            parents = _bits(mask)
-            sub = codes & mask
-            uniq_codes, inverse = np.unique(sub, return_inverse=True)
-            inverse = inverse.reshape(-1)
-            trials = np.bincount(inverse, minlength=len(uniq_codes)).astype(float)
-            successes = np.bincount(inverse, weights=y, minlength=len(uniq_codes))
-            patterns = np.empty((len(uniq_codes), 1 + len(parents)))
-            patterns[:, 0] = 1.0
-            for i, parent in enumerate(parents):
-                patterns[:, 1 + i] = (uniq_codes >> parent) & 1
-
+            patterns, successes, trials = _parent_table(codes, y, mask)
             node_prior = prior.for_node(node, mask)
-            sep = separation_of_patterns(patterns, successes, trials)
             try:
                 fit = _fit_aggregated(
-                    patterns,
-                    successes,
-                    trials,
-                    node_prior,
-                    tol=tol,
-                    max_iter=max_iter,
-                    separation=sep,
+                    patterns, successes, trials, node_prior, tol=tol, max_iter=max_iter
                 )
             except FitError as exc:
-                entries[(node, mask)] = CacheEntry(float("-inf"), False, sep)
+                entries[(node, mask)] = CacheEntry(float("-inf"), False)
                 diagnostics.append((node, mask, str(exc)))
                 continue
             score = fit.log_marginal
             if not fit.converged:
-                entries[(node, mask)] = CacheEntry(float("-inf"), False, sep)
+                entries[(node, mask)] = CacheEntry(float("-inf"), False)
                 diagnostics.append((node, mask, f"no convergence in {max_iter} sweeps"))
             elif not np.isfinite(score):
-                entries[(node, mask)] = CacheEntry(float("-inf"), True, sep)
+                entries[(node, mask)] = CacheEntry(float("-inf"), True)
                 diagnostics.append((node, mask, "non-finite log score"))
             else:
-                entries[(node, mask)] = CacheEntry(float(score), True, sep)
+                entries[(node, mask)] = CacheEntry(float(score), True)
 
     return ScoreCache(
         n_vars=n,
@@ -572,6 +596,7 @@ def build_score_cache(
         entries=entries,
         diagnostics=diagnostics,
         prior_label=prior.describe(),
+        data=data,
     )
 
 

@@ -17,7 +17,6 @@ from abn_forge import (
     Dag,
     GaussianPrior,
     ScoreCache,
-    SeparationStatus,
     StudentTPrior,
     exact_search,
     fit_node,
@@ -67,7 +66,6 @@ def random_cache(n_vars: int, rng) -> ScoreCache:
             entries[(node, mask)] = CacheEntry(
                 log_score=float(rng.normal(scale=3.0)),
                 converged=True,
-                separation=SeparationStatus.NONE,
             )
     return ScoreCache(n_vars=n_vars, max_parents=n_vars - 1, entries=entries)
 

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -57,6 +58,24 @@ class TestPipeline:
         dag = Dag.from_json(estimate.read_text())
         total = sum(cache.score(j, dag.parents[j]) for j in range(dag.n))
         assert float(printed.group(1)) == pytest.approx(total, abs=5e-7)
+
+    def test_score_tallies_the_separation_column(self, tmp_path, chain_params_file, capsys):
+        data = tmp_path / "data.csv"
+        cache_path = tmp_path / "cache.csv"
+        run_cli("simulate", "--params", chain_params_file, "--n-obs", 30, "--seed", 2,
+                "--out", data)
+        assert run_cli("score", "--data", data, "--prior", "wi", "--out", cache_path) == 0
+
+        printed = re.search(
+            r"separation: (\d+) none, (\d+) quasi_complete, (\d+) complete\)",
+            capsys.readouterr().out,
+        )
+        rows = [line for line in cache_path.read_text().splitlines() if not line.startswith("#")]
+        column = Counter(row.split(",")[4] for row in rows[1:])
+        assert printed is not None
+        tally = dict(zip(("none", "quasi_complete", "complete"), map(int, printed.groups())))
+        assert tally == {status: column[status] for status in tally}
+        assert sum(tally.values()) == len(rows) - 1
 
     def test_simulate_reports_shape(self, tmp_path, chain_params_file, capsys):
         out = tmp_path / "data.csv"

@@ -6,6 +6,7 @@ from scipy.special import expit
 
 from abn_forge import (
     AbnParams,
+    CacheEntry,
     Dag,
     Dataset,
     GaussianPrior,
@@ -16,11 +17,14 @@ from abn_forge import (
     StudentTPrior,
     build_score_cache,
     design_rows,
+    detect_separation,
     fit_node,
     prior_from_name,
     random_dag,
     sample,
 )
+from abn_forge import score as score_module
+from abn_forge.experiments import StudyConfig, run_study
 from abn_forge.score import _laplace_value, parent_masks
 from oracles import (
     gauss_hermite_log_marginal,
@@ -373,6 +377,7 @@ class TestScoreCache:
         assert again.n_vars == cache.n_vars
         assert again.max_parents == cache.max_parents
         assert again.entries == cache.entries
+        assert again.to_csv() == cache.to_csv()
 
     def test_rebuild_is_byte_identical(self, small_study_data):
         _, _, data = small_study_data
@@ -393,6 +398,71 @@ class TestScoreCache:
         cache = build_score_cache(data, GaussianPrior())
         assert cache.score(2, 0b0011) > cache.score(2, 0)
         assert cache.score(2, 0b0011) > cache.score(2, 0b0001)
+
+
+@pytest.fixture
+def separation_calls(monkeypatch):
+    """Counts calls of the separation classifier the score module looks up."""
+    calls = []
+    classify = score_module.separation_of_patterns
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(score_module, "separation_of_patterns", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def separated_data():
+    # few rows and strong edges, so the tables mix all three statuses
+    truth = AbnParams.balanced(Dag.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+    return sample(truth, 40, np.random.default_rng(3))
+
+
+class TestSeparationOnDemand:
+    def test_building_a_cache_classifies_nothing(self, separated_data, separation_calls):
+        for prior in (GaussianPrior(), StudentTPrior()):
+            build_score_cache(separated_data, prior)
+        assert separation_calls == []
+
+    def test_study_cells_classify_nothing(self, separation_calls):
+        config = StudyConfig(
+            study="separation",
+            n_nodes=3,
+            densities=(0.8,),
+            sample_sizes=(30,),
+            replicates=2,
+            priors=("wi", "st"),
+            master_seed=4,
+        )
+        assert len(run_study(config, workers=1)) == 4
+        assert separation_calls == []
+
+    def test_each_entry_is_classified_once(self, separated_data, separation_calls):
+        cache = build_score_cache(separated_data, GaussianPrior())
+        first = cache.to_csv()
+        assert len(separation_calls) == cache.total_entries()
+        assert cache.to_csv() == first
+        assert len(separation_calls) == cache.total_entries()
+
+    def test_csv_column_matches_the_design_classifier(self, separated_data):
+        cache = build_score_cache(separated_data, GaussianPrior())
+        again = ScoreCache.from_csv(cache.to_csv())
+        seen = set()
+        for node, mask in cache.entries:
+            status = again.separation(node, mask)
+            assert status == detect_separation(separated_data, node, mask)
+            seen.add(status)
+        assert seen == set(SeparationStatus)
+
+    def test_hand_built_cache_without_data_cannot_classify(self):
+        cache = ScoreCache(n_vars=1, max_parents=0, entries={(0, 0): CacheEntry(0.0, True)})
+        with pytest.raises(ValueError, match="no data"):
+            cache.separation(0, 0)
+        with pytest.raises(KeyError):
+            cache.separation(0, 1)
 
 
 class TestCacheAgainstQuadrature:

@@ -7,7 +7,6 @@ from abn_forge import (
     CacheEntry,
     Dag,
     ScoreCache,
-    SeparationStatus,
     best_parent_sets,
     exact_search,
 )
@@ -23,7 +22,6 @@ def random_cache(n_vars, rng, max_parents=None):
             entries[(node, mask)] = CacheEntry(
                 log_score=float(rng.normal(scale=3.0)),
                 converged=True,
-                separation=SeparationStatus.NONE,
             )
     return ScoreCache(n_vars=n_vars, max_parents=cap, entries=entries)
 
@@ -32,9 +30,9 @@ def constant_cache(n_vars, value=0.0, bonus=None):
     entries = {}
     for node in range(n_vars):
         for mask in parent_masks(n_vars, node, n_vars - 1):
-            entries[(node, mask)] = CacheEntry(value, True, SeparationStatus.NONE)
+            entries[(node, mask)] = CacheEntry(value, True)
     for key, score in (bonus or {}).items():
-        entries[key] = CacheEntry(score, True, SeparationStatus.NONE)
+        entries[key] = CacheEntry(score, True)
     return ScoreCache(n_vars=n_vars, max_parents=n_vars - 1, entries=entries)
 
 
@@ -151,7 +149,7 @@ class TestExactSearch:
         base = exact_search(cache)
         shifted_entries = {
             key: (
-                CacheEntry(e.log_score + 2.5, e.converged, e.separation)
+                CacheEntry(e.log_score + 2.5, e.converged)
                 if key[0] == 2
                 else e
             )
