@@ -399,6 +399,9 @@ class CacheEntry:
     converged: bool
 
 
+_CACHE_COLUMNS = ["node", "parent_mask", "log_score", "converged", "separation"]
+
+
 @dataclass
 class ScoreCache:
     """Log scores for every (node, parent mask) pair up to a parent-count cap.
@@ -445,7 +448,7 @@ class ScoreCache:
         if self.prior_label:
             buf.write(f"# prior: {self.prior_label}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["node", "parent_mask", "log_score", "converged", "separation"])
+        writer.writerow(_CACHE_COLUMNS)
         for (node, mask) in sorted(self.entries):
             entry = self.entries[(node, mask)]
             writer.writerow(
@@ -461,11 +464,12 @@ class ScoreCache:
 
     @classmethod
     def from_csv(cls, text: str) -> "ScoreCache":
+        """Read a cache written by :meth:`to_csv`; a malformed line raises ``ValueError``."""
         n_vars = None
         max_parents = None
         prior_label = ""
-        data_lines = []
-        for line in text.splitlines():
+        rows = []
+        for number, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("n_vars:"):
@@ -475,23 +479,47 @@ class ScoreCache:
                 elif body.startswith("prior:"):
                     prior_label = body.split(":", 1)[1].strip()
             elif line.strip():
-                data_lines.append(line)
-        if not data_lines:
+                rows.append((number, next(csv.reader([line]))))
+        if not rows:
             raise ValueError("empty score cache file")
-        rows = list(csv.reader(io.StringIO("\n".join(data_lines))))
-        header = rows[0]
-        if header[:3] != ["node", "parent_mask", "log_score"]:
-            raise ValueError(f"unexpected cache header: {header}")
+        (number, header), *rows = rows
+        if header != _CACHE_COLUMNS:
+            expected = ",".join(_CACHE_COLUMNS)
+            raise ValueError(f"line {number}: expected header {expected}, got {','.join(header)}")
+        parsed = []
+        for number, row in rows:
+            try:
+                if len(row) != len(_CACHE_COLUMNS):
+                    raise ValueError(f"expected {len(_CACHE_COLUMNS)} fields, got {len(row)}")
+                entry = CacheEntry(log_score=float(row[2]), converged=row[3] == "true")
+                parsed.append((number, int(row[0]), int(row[1]), entry, SeparationStatus(row[4])))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+        if n_vars is None:
+            n_vars = max(node for _, node, *_ in parsed) + 1
+        if max_parents is None:
+            max_parents = max((mask.bit_count() for _, _, mask, *_ in parsed), default=0)
         entries: dict[tuple[int, int], CacheEntry] = {}
         separations: dict[tuple[int, int], SeparationStatus] = {}
-        for row in rows[1:]:
-            key = (int(row[0]), int(row[1]))
-            entries[key] = CacheEntry(log_score=float(row[2]), converged=row[3] == "true")
-            separations[key] = SeparationStatus(row[4])
-        if n_vars is None:
-            n_vars = max(node for node, _ in entries) + 1
-        if max_parents is None:
-            max_parents = max((mask.bit_count() for _, mask in entries), default=0)
+        for number, node, mask, entry, status in parsed:
+            # the search indexes its tables by (node, mask), so a stray key
+            # would land in another node's row
+            if not 0 <= node < n_vars:
+                problem = f"node {node} is not in 0..{n_vars - 1}"
+            elif not 0 <= mask < 1 << n_vars:
+                problem = f"parent mask {mask} has bits beyond {n_vars} variables"
+            elif (mask >> node) & 1:
+                problem = f"parent mask {mask} contains node {node} itself"
+            elif mask.bit_count() > max_parents:
+                problem = f"parent mask {mask} has more than {max_parents} parents"
+            elif (node, mask) in entries:
+                problem = f"duplicate entry for node {node}, parent mask {mask}"
+            else:
+                problem = None
+            if problem:
+                raise ValueError(f"line {number}: {problem}")
+            entries[(node, mask)] = entry
+            separations[(node, mask)] = status
         return cls(
             n_vars=n_vars,
             max_parents=max_parents,

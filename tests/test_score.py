@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,8 @@ from oracles import (
     quad_log_marginal,
     ref_log_posterior,
 )
+
+CACHE_HEADER = "node,parent_mask,log_score,converged,separation"
 
 
 def gaussian_spec(prior: GaussianPrior, d: int) -> dict:
@@ -378,6 +382,35 @@ class TestScoreCache:
         assert again.max_parents == cache.max_parents
         assert again.entries == cache.entries
         assert again.to_csv() == cache.to_csv()
+
+    @pytest.mark.parametrize("name", ["cache_wi.csv", "cache_st.csv", "cache_si.csv"])
+    def test_golden_caches_load(self, name):
+        text = (Path(__file__).resolve().parent / "golden" / name).read_text()
+        cache = ScoreCache.from_csv(text)
+        assert cache.total_entries() == 5 * 2**4
+        assert cache.to_csv() == text
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["node,parent_mask,log_score,converged", "0,0,-1.0,true"], "line 3: expected header"),
+            ([CACHE_HEADER, "0,0,-1.0,true"], "line 4: expected 5 fields, got 4"),
+            ([CACHE_HEADER, "0,0,-1.0,true,none,x"], "line 4: expected 5 fields, got 6"),
+            ([CACHE_HEADER, "0,0,-1.0,true,none", "0,x,-1.0,true,none"], "line 5: invalid literal"),
+            ([CACHE_HEADER, "-1,0,-1.0,true,none"], r"line 4: node -1 is not in 0\.\.2"),
+            ([CACHE_HEADER, "3,0,-1.0,true,none"], r"line 4: node 3 is not in 0\.\.2"),
+            ([CACHE_HEADER, "0,8,-1.0,true,none"], "line 4: parent mask 8 has bits beyond 3"),
+            ([CACHE_HEADER, "0,-2,-1.0,true,none"], "line 4: parent mask -2 has bits beyond 3"),
+            ([CACHE_HEADER, "1,3,-1.0,true,none"], "line 4: parent mask 3 contains node 1"),
+            ([CACHE_HEADER, "0,6,-1.0,true,none"], "line 4: parent mask 6 has more than 1 parents"),
+            ([CACHE_HEADER, "0,2,-1.0,true,none", "0,2,-2.0,true,none"],
+             "line 5: duplicate entry for node 0, parent mask 2"),
+        ],
+    )
+    def test_from_csv_rejects_malformed_lines(self, rows, message):
+        text = "\n".join(["# n_vars: 3", "# max_parents: 1", *rows]) + "\n"
+        with pytest.raises(ValueError, match=message):
+            ScoreCache.from_csv(text)
 
     def test_rebuild_is_byte_identical(self, small_study_data):
         _, _, data = small_study_data

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,16 +15,15 @@ from abn_forge import (
 from abn_forge.score import parent_masks
 from oracles import brute_force_search
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
-def random_cache(n_vars, rng, max_parents=None):
+
+def random_cache(n_vars, rng, max_parents=None, draw=lambda rng: rng.normal(scale=3.0)):
     cap = n_vars - 1 if max_parents is None else max_parents
     entries = {}
     for node in range(n_vars):
         for mask in parent_masks(n_vars, node, cap):
-            entries[(node, mask)] = CacheEntry(
-                log_score=float(rng.normal(scale=3.0)),
-                converged=True,
-            )
+            entries[(node, mask)] = CacheEntry(log_score=float(draw(rng)), converged=True)
     return ScoreCache(n_vars=n_vars, max_parents=cap, entries=entries)
 
 
@@ -53,17 +54,27 @@ class TestBestParentSets:
 
     def test_agrees_with_direct_enumeration(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            cache = random_cache(4, rng)
+        caches = [random_cache(4, rng) for _ in range(20)]
+        # integer scores make ties common, so the lowest-mask tie-break is exercised
+        caches += [random_cache(4, rng, draw=lambda r: r.integers(-2, 3)) for _ in range(10)]
+        caches += [
+            random_cache(4, rng, draw=lambda r: -np.inf if r.random() < 0.3 else r.integers(-2, 3))
+            for _ in range(10)
+        ]
+        caches += [random_cache(5, rng, max_parents=2) for _ in range(5)]
+        # a real cache whose failed st fits are scored -inf
+        caches.append(ScoreCache.from_csv((GOLDEN / "cache_st.csv").read_text()))
+        for cache in caches:
+            n = cache.n_vars
             table = best_parent_sets(cache)
-            for node in range(4):
-                for candidate in range(16):
+            for node in range(n):
+                for candidate in range(1 << n):
                     if (candidate >> node) & 1:
                         continue
                     best = max(
-                        (cache.score(node, m), -m)
-                        for m in range(16)
-                        if m & candidate == m and not (m >> node) & 1
+                        (entry.log_score, -m)
+                        for (j, m), entry in cache.entries.items()
+                        if j == node and m & candidate == m
                     )
                     assert table.score[node, candidate] == best[0]
                     assert table.mask[node, candidate] == -best[1]
@@ -120,6 +131,16 @@ class TestExactSearch:
         result = exact_search(cache)
         assert result.dag.edge_count() == 0
         assert result.total_score == pytest.approx(6.0)
+
+    def test_equal_scores_resolve_to_the_lowest_sink(self):
+        # 1 -> 0 and 0 -> 1 score the same; peeling node 0 off first keeps 1 -> 0
+        cache = constant_cache(2, value=0.0, bonus={(0, 0b10): 4.0, (1, 0b01): 4.0})
+        assert exact_search(cache).dag.parents == (0b10, 0)
+
+    def test_node_without_a_finite_score_has_no_admissible_sink(self):
+        cache = constant_cache(3, bonus={(2, m): -np.inf for m in parent_masks(3, 2, 2)})
+        with pytest.raises(RuntimeError, match="no admissible sink"):
+            exact_search(cache)
 
     def test_two_runs_agree_exactly(self):
         cache = random_cache(5, np.random.default_rng(6))
