@@ -11,8 +11,6 @@ from .data import (
     Dataset,
     SeparationStatus,
     aggregate_design,
-    design_rows,
-    detect_separation,
     sample,
     separation_of_design,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "build_score_cache",
     "compare",
     "derive_rng",
-    "design_rows",
-    "detect_separation",
     "exact_search",
     "fit_node",
     "is_acyclic",

@@ -115,6 +115,10 @@ class Dataset:
             raise ValueError(f"at most {MAX_NODES} variables supported")
         values.flags.writeable = False
         self.values = values
+        # each row packed into one integer, bit k = column k
+        codes = values.astype(np.int64) @ (1 << np.arange(values.shape[1], dtype=np.int64))
+        codes.flags.writeable = False
+        self._codes = codes
 
     @property
     def n_obs(self) -> int:
@@ -124,10 +128,30 @@ class Dataset:
     def n_vars(self) -> int:
         return self.values.shape[1]
 
-    def row_patterns(self) -> np.ndarray:
-        """Each row packed into one integer, bit k = column k."""
-        weights = (1 << np.arange(self.n_vars, dtype=np.int64)).astype(np.int64)
-        return self.values.astype(np.int64) @ weights
+    def parent_table(self, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
+
+        Pattern columns are the intercept, then the parents in ascending
+        order; rows are the distinct parent configurations in ascending
+        packed order.  Every cache entry is scored and classified from it.
+        """
+        if not 0 <= node < self.n_vars:
+            raise ValueError(f"node {node} out of range")
+        if (parent_mask >> node) & 1:
+            raise ValueError(f"node {node} cannot be its own parent")
+        if parent_mask & ~((1 << self.n_vars) - 1):
+            raise ValueError("parent mask references variables beyond the dataset")
+        parents = _bits(parent_mask)
+        sub = self._codes & parent_mask
+        uniq_codes, inverse = np.unique(sub, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        trials = np.bincount(inverse, minlength=len(uniq_codes)).astype(float)
+        successes = np.bincount(inverse, weights=self.values[:, node], minlength=len(uniq_codes))
+        patterns = np.empty((len(uniq_codes), 1 + len(parents)))
+        patterns[:, 0] = 1.0
+        for i, parent in enumerate(parents):
+            patterns[:, 1 + i] = (uniq_codes >> parent) & 1
+        return patterns, successes, trials
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -173,23 +197,6 @@ def sample(params: AbnParams, n_obs: int, rng: np.random.Generator) -> Dataset:
     return Dataset(values)
 
 
-def design_rows(data: Dataset, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix (intercept column, then parents ascending) and response for one node."""
-    if not 0 <= node < data.n_vars:
-        raise ValueError(f"node {node} out of range")
-    if (parent_mask >> node) & 1:
-        raise ValueError(f"node {node} cannot be its own parent")
-    if parent_mask & ~((1 << data.n_vars) - 1):
-        raise ValueError("parent mask references variables beyond the dataset")
-    parents = _bits(parent_mask)
-    X = np.empty((data.n_obs, 1 + len(parents)))
-    X[:, 0] = 1.0
-    for i, p in enumerate(parents):
-        X[:, 1 + i] = data.values[:, p]
-    y = data.values[:, node].astype(float)
-    return X, y
-
-
 class SeparationStatus(enum.Enum):
     NONE = "none"
     QUASI_COMPLETE = "quasi_complete"
@@ -200,9 +207,11 @@ def aggregate_design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Collapse duplicate design rows to (unique rows, successes, trials).
 
     The Bernoulli likelihood only sees counts per distinct predictor pattern,
-    so everything downstream (fits, scores, separation) may work on the
-    collapsed system.  ``np.unique`` sorts, which also makes the result
-    independent of row order.
+    so fits and separation may work on the collapsed system.  ``np.unique``
+    sorts, which also makes the result independent of row order.  This is
+    the path for free designs (``score.fit_node``, :func:`separation_of_design`),
+    whose columns need not be 0/1 data columns and so cannot be packed into
+    integers; a dataset's parent set goes through :meth:`Dataset.parent_table`.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -215,12 +224,6 @@ def aggregate_design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     trials = np.bincount(inverse, minlength=len(uniq)).astype(float)
     successes = np.bincount(inverse, weights=y, minlength=len(uniq))
     return uniq, successes, trials
-
-
-def detect_separation(data: Dataset, node: int, parent_mask: int) -> SeparationStatus:
-    """Classify the separation status of one node's logistic design."""
-    X, y = design_rows(data, node, parent_mask)
-    return separation_of_design(X, y)
 
 
 def separation_of_design(X: np.ndarray, y: np.ndarray) -> SeparationStatus:

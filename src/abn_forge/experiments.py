@@ -202,24 +202,21 @@ def _run_cell(
     """Draw one truth + dataset and evaluate every prior of the config on it."""
     label = _cell_label(config, density, n_obs)
 
-    def failure_rows(message: str) -> list[ResultRow]:
-        return [
-            ResultRow(
-                study=config.study,
-                prior_name=prior_name,
-                density=density,
-                n_obs=n_obs,
-                replicate=replicate,
-                tpr=float("nan"),
-                fpr=float("nan"),
-                tnr=float("nan"),
-                edges_true=0,
-                edges_fitted=0,
-                normalized_parents=float("nan"),
-                note=f"error: {message}",
-            )
-            for prior_name in config.priors
-        ]
+    def failure_row(prior_name: str, message: str) -> ResultRow:
+        return ResultRow(
+            study=config.study,
+            prior_name=prior_name,
+            density=density,
+            n_obs=n_obs,
+            replicate=replicate,
+            tpr=float("nan"),
+            fpr=float("nan"),
+            tnr=float("nan"),
+            edges_true=0,
+            edges_fitted=0,
+            normalized_parents=float("nan"),
+            note=f"error: {message}",
+        )
 
     try:
         rng = derive_rng(config.master_seed, label, replicate)
@@ -231,7 +228,7 @@ def _run_cell(
         dataset = sample(params, n_obs, rng)
         truth_cp = to_cpdag(truth_dag)
     except Exception as exc:  # noqa: BLE001 - a failed draw must not kill the farm
-        return failure_rows(str(exc))
+        return [failure_row(prior_name, str(exc)) for prior_name in config.priors]
 
     cell_dir: Path | None = None
     if runs_dir is not None:
@@ -258,11 +255,7 @@ def _run_cell(
             estimate_cp = to_cpdag(estimate_dag)
             metrics = compare(estimate_cp, truth_cp)
         except Exception as exc:  # noqa: BLE001
-            rows.extend(
-                r
-                for r in failure_rows(str(exc))
-                if r.prior_name == prior_name
-            )
+            rows.append(failure_row(prior_name, str(exc)))
             continue
         elapsed_ms = (time.perf_counter() - started) * 1000.0
 

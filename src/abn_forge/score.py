@@ -44,7 +44,7 @@ from .data import (
     aggregate_design,
     separation_of_patterns,
 )
-from .graph import _bits
+from .graph import MAX_NODES, _bits
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -432,9 +432,7 @@ class ScoreCache:
                 raise KeyError(key)
             if self.data is None:
                 raise ValueError(f"no separation status for {key} and no data to classify it")
-            table = _parent_table(
-                self.data.row_patterns(), self.data.values[:, node].astype(float), parent_mask
-            )
+            table = self.data.parent_table(node, parent_mask)
             status = self.separations[key] = separation_of_patterns(*table)
         return status
 
@@ -465,23 +463,30 @@ class ScoreCache:
     @classmethod
     def from_csv(cls, text: str) -> "ScoreCache":
         """Read a cache written by :meth:`to_csv`; a malformed line raises ``ValueError``."""
-        n_vars = None
-        max_parents = None
+        sizes: dict[str, int] = {}
         prior_label = ""
         rows = []
         for number, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n_vars:"):
-                    n_vars = int(body.split(":", 1)[1])
-                elif body.startswith("max_parents:"):
-                    max_parents = int(body.split(":", 1)[1])
-                elif body.startswith("prior:"):
-                    prior_label = body.split(":", 1)[1].strip()
+                key, _, value = line[1:].strip().partition(":")
+                if key in ("n_vars", "max_parents"):
+                    value = value.strip()
+                    if not (value.isascii() and value.isdigit() and int(value) <= MAX_NODES):
+                        raise ValueError(
+                            f"line {number}: {key} must be an integer in 0..{MAX_NODES}, "
+                            f"got {value!r}"
+                        )
+                    sizes[key] = int(value)
+                elif key == "prior":
+                    prior_label = value.strip()
             elif line.strip():
                 rows.append((number, next(csv.reader([line]))))
         if not rows:
             raise ValueError("empty score cache file")
+        for key in ("n_vars", "max_parents"):
+            if key not in sizes:
+                raise ValueError(f"missing '# {key}:' comment")
+        n_vars, max_parents = sizes["n_vars"], sizes["max_parents"]
         (number, header), *rows = rows
         if header != _CACHE_COLUMNS:
             expected = ",".join(_CACHE_COLUMNS)
@@ -491,14 +496,12 @@ class ScoreCache:
             try:
                 if len(row) != len(_CACHE_COLUMNS):
                     raise ValueError(f"expected {len(_CACHE_COLUMNS)} fields, got {len(row)}")
+                if row[3] not in ("true", "false"):
+                    raise ValueError(f"converged must be true or false, got {row[3]!r}")
                 entry = CacheEntry(log_score=float(row[2]), converged=row[3] == "true")
                 parsed.append((number, int(row[0]), int(row[1]), entry, SeparationStatus(row[4])))
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from exc
-        if n_vars is None:
-            n_vars = max(node for _, node, *_ in parsed) + 1
-        if max_parents is None:
-            max_parents = max((mask.bit_count() for _, _, mask, *_ in parsed), default=0)
         entries: dict[tuple[int, int], CacheEntry] = {}
         separations: dict[tuple[int, int], SeparationStatus] = {}
         for number, node, mask, entry, status in parsed:
@@ -542,26 +545,6 @@ def parent_masks(n_vars: int, node: int, max_parents: int) -> list[int]:
     return masks
 
 
-def _parent_table(
-    codes: np.ndarray, y: np.ndarray, parent_mask: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
-
-    ``codes`` are the dataset's packed rows and ``y`` the node's column as floats.
-    """
-    parents = _bits(parent_mask)
-    sub = codes & parent_mask
-    uniq_codes, inverse = np.unique(sub, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    trials = np.bincount(inverse, minlength=len(uniq_codes)).astype(float)
-    successes = np.bincount(inverse, weights=y, minlength=len(uniq_codes))
-    patterns = np.empty((len(uniq_codes), 1 + len(parents)))
-    patterns[:, 0] = 1.0
-    for i, parent in enumerate(parents):
-        patterns[:, 1 + i] = (uniq_codes >> parent) & 1
-    return patterns, successes, trials
-
-
 def build_score_cache(
     data: Dataset,
     prior: Prior,
@@ -590,15 +573,12 @@ def build_score_cache(
     if isinstance(prior, StrongGaussianPrior) and prior.truth.n != n:
         raise ValueError("informed prior truth has a different variable count")
 
-    codes = data.row_patterns()
-    columns = data.values.astype(float)
     entries: dict[tuple[int, int], CacheEntry] = {}
     diagnostics: list[tuple[int, int, str]] = []
 
     for node in range(n):
-        y = columns[:, node]
         for mask in parent_masks(n, node, max_parents):
-            patterns, successes, trials = _parent_table(codes, y, mask)
+            patterns, successes, trials = data.parent_table(node, mask)
             node_prior = prior.for_node(node, mask)
             try:
                 fit = _fit_aggregated(

@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own algorithms: separation
 is decided by exact Fourier-Motzkin elimination over rationals, equivalence
 classes by enumerating all DAGs over a skeleton, the best network under a
 score cache by walking every acyclic choice of cached parent sets, marginal
-likelihoods by numerical integration, and the unpenalised MLE by a plain
-Newton loop.
+likelihoods by numerical integration, the unpenalised MLE by a plain
+Newton loop, and a node's design by one explicit row per observation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate, optimize, stats
 from scipy.special import gammaln
 
-from abn_forge import Dag, ScoreCache, SearchResult
+from abn_forge import Dag, Dataset, ScoreCache, SearchResult
 
 # ---------------------------------------------------------------------------
 # linear-inequality feasibility by Fourier-Motzkin elimination (exact)
@@ -415,3 +415,14 @@ def newton_mle(X: np.ndarray, y: np.ndarray, iterations: int = 80) -> np.ndarray
         if np.abs(step).max() < 1e-12:
             break
     return beta
+
+
+# ---------------------------------------------------------------------------
+# explicit designs
+
+
+def explicit_design(data: Dataset, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """One row per observation (the intercept, then the parents ascending) and the node's column."""
+    parents = [k for k in range(data.n_vars) if (parent_mask >> k) & 1]
+    X = np.column_stack([np.ones(data.n_obs)] + [data.values[:, k] for k in parents])
+    return X.astype(float), data.values[:, node].astype(float)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -10,12 +10,11 @@ from abn_forge import (
     Dataset,
     SeparationStatus,
     aggregate_design,
-    design_rows,
-    detect_separation,
     sample,
     separation_of_design,
 )
-from oracles import fm_separation
+from abn_forge.data import separation_of_patterns
+from oracles import explicit_design, fm_separation
 
 
 @pytest.fixture
@@ -101,26 +100,63 @@ class TestDatasetCsv:
             Dataset.from_csv("X1,X2\n0,2\n")
 
 
-class TestDesignRows:
+def table_rows(patterns, successes, trials):
+    """A (patterns, successes, trials) table as sorted rows, to compare tables as multisets."""
+    return sorted(map(tuple, np.column_stack([patterns, successes, trials]).tolist()))
+
+
+class TestParentTable:
     def test_empty_mask_gives_intercept_only(self, collider_params):
         data = sample(collider_params, 25, np.random.default_rng(5))
-        X, y = design_rows(data, 2, 0)
-        assert X.shape == (25, 1)
-        assert np.all(X == 1.0)
-        assert np.array_equal(y, data.values[:, 2])
+        patterns, successes, trials = data.parent_table(2, 0)
+        assert patterns.tolist() == [[1.0]]
+        assert trials.tolist() == [25.0]
+        assert successes.tolist() == [float(data.values[:, 2].sum())]
 
-    def test_parents_appear_in_ascending_order(self, collider_params):
-        data = sample(collider_params, 25, np.random.default_rng(6))
-        X, y = design_rows(data, 3, 0b0011)
-        assert X.shape == (25, 3)
-        assert np.all(X[:, 0] == 1.0)
-        assert np.array_equal(X[:, 1], data.values[:, 0])
-        assert np.array_equal(X[:, 2], data.values[:, 1])
+    def test_parents_appear_in_ascending_order(self):
+        # parents 0 and 2 take the configurations (0, 0), (1, 0) and (1, 1); the
+        # reverse column order would read (0, 0), (0, 1) and (1, 1)
+        values = np.array(
+            [[1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [1, 1, 1, 1]],
+            dtype=np.uint8,
+        )
+        patterns, successes, trials = Dataset(values).parent_table(3, 0b0101)
+        assert patterns.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+        assert successes.tolist() == [0.0, 1.0, 2.0]
+        assert trials.tolist() == [2.0, 2.0, 2.0]
+
+    @given(st.integers(0, 10_000), st.integers(0, 40))
+    @example(seed=0, n_obs=0)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_aggregated_explicit_design(self, seed, n_obs):
+        rng = np.random.default_rng(seed)
+        n_vars = int(rng.integers(1, 5))
+        data = Dataset(rng.integers(0, 2, (n_obs, n_vars)))
+        for node in range(n_vars):
+            for mask in range(1 << n_vars):
+                if (mask >> node) & 1:
+                    continue
+                table = data.parent_table(node, mask)
+                reference = aggregate_design(*explicit_design(data, node, mask))
+                assert table[0].shape[1] == reference[0].shape[1] == 1 + mask.bit_count()
+                assert table_rows(*table) == table_rows(*reference)
+
+    def test_rejects_node_out_of_range(self, collider_params):
+        data = sample(collider_params, 10, np.random.default_rng(7))
+        for node in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                data.parent_table(node, 0)
 
     def test_rejects_node_inside_mask(self, collider_params):
         data = sample(collider_params, 10, np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            design_rows(data, 1, 0b0010)
+        with pytest.raises(ValueError, match="own parent"):
+            data.parent_table(1, 0b0010)
+
+    def test_rejects_bits_beyond_n_vars(self, collider_params):
+        data = sample(collider_params, 10, np.random.default_rng(7))
+        for mask in (0b10000, -2):
+            with pytest.raises(ValueError, match="beyond the dataset"):
+                data.parent_table(0, mask)
 
 
 class TestAggregateDesign:
@@ -175,11 +211,10 @@ class TestSeparationStatus:
         X, y = design([], [0, 1, 1, 0])
         assert separation_of_design(X, y) == SeparationStatus.NONE
 
-    def test_detect_separation_reads_the_named_column(self, collider_params):
+    def test_parent_table_classifies_the_named_column(self, collider_params):
         data = sample(collider_params, 200, np.random.default_rng(8))
-        status = detect_separation(data, 3, 0b0100)
-        X, y = design_rows(data, 3, 0b0100)
-        assert status == separation_of_design(X, y)
+        status = separation_of_patterns(*data.parent_table(3, 0b0100))
+        assert status == separation_of_design(*explicit_design(data, 3, 0b0100))
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)

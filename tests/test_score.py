@@ -17,18 +17,19 @@ from abn_forge import (
     SeparationStatus,
     StrongGaussianPrior,
     StudentTPrior,
+    aggregate_design,
     build_score_cache,
-    design_rows,
-    detect_separation,
     fit_node,
     prior_from_name,
     random_dag,
     sample,
+    separation_of_design,
 )
 from abn_forge import score as score_module
 from abn_forge.experiments import StudyConfig, run_study
 from abn_forge.score import _laplace_value, parent_masks
 from oracles import (
+    explicit_design,
     gauss_hermite_log_marginal,
     newton_mle,
     quad_log_marginal,
@@ -350,19 +351,24 @@ class TestScoreCache:
             cache.score(0, 0b0110)
 
     def test_entries_match_single_fits(self, small_study_data):
-        _, _, data = small_study_data
-        prior = GaussianPrior()
-        cache = build_score_cache(data, prior)
-        for node, mask in [(2, 0b0011), (3, 0b0100), (0, 0)]:
-            X, y = design_rows(data, node, mask)
-            fit = fit_node(X, y, prior)
-            assert np.isclose(cache.score(node, mask), fit.log_marginal, rtol=1e-12)
+        _, params, data = small_study_data
+        for name in ("wi", "st", "si"):
+            prior = prior_from_name(name, truth=params)
+            cache = build_score_cache(data, prior)
+            finite = [key for key, entry in cache.entries.items() if np.isfinite(entry.log_score)]
+            assert len(finite) >= 30
+            for node, mask in finite:
+                X, y = explicit_design(data, node, mask)
+                fit = fit_node(X, y, prior.for_node(node, mask))
+                assert np.isclose(cache.score(node, mask), fit.log_marginal, rtol=1e-12), (
+                    name, node, mask
+                )
 
     def test_student_cache_matches_single_fits(self, small_study_data):
         _, _, data = small_study_data
         prior = StudentTPrior()
         cache = build_score_cache(data, prior)
-        X, y = design_rows(data, 2, 0b0011)
+        X, y = explicit_design(data, 2, 0b0011)
         fit = fit_node(X, y, prior)
         assert np.isclose(cache.score(2, 0b0011), fit.log_marginal, rtol=1e-12)
 
@@ -370,7 +376,7 @@ class TestScoreCache:
         _, params, data = small_study_data
         prior = StrongGaussianPrior(truth=params)
         cache = build_score_cache(data, prior)
-        X, y = design_rows(data, 2, 0b0011)
+        X, y = explicit_design(data, 2, 0b0011)
         fit = fit_node(X, y, prior.for_node(2, 0b0011))
         assert np.isclose(cache.score(2, 0b0011), fit.log_marginal, rtol=1e-12)
 
@@ -405,11 +411,22 @@ class TestScoreCache:
             ([CACHE_HEADER, "0,6,-1.0,true,none"], "line 4: parent mask 6 has more than 1 parents"),
             ([CACHE_HEADER, "0,2,-1.0,true,none", "0,2,-2.0,true,none"],
              "line 5: duplicate entry for node 0, parent mask 2"),
+            ([CACHE_HEADER, "0,0,-1.0,True,none"], "line 4: converged must be true or false, got 'True'"),
+            ([CACHE_HEADER, "0,0,-1.0,,none"], "line 4: converged must be true or false, got ''"),
+            (["# n_vars: x", CACHE_HEADER], "line 3: n_vars must be an integer in 0..24, got 'x'"),
+            (["# n_vars: 25", CACHE_HEADER], "line 3: n_vars must be an integer in 0..24, got '25'"),
+            (["# max_parents: -1", CACHE_HEADER], "line 3: max_parents must be an integer in 0..24"),
         ],
     )
     def test_from_csv_rejects_malformed_lines(self, rows, message):
         text = "\n".join(["# n_vars: 3", "# max_parents: 1", *rows]) + "\n"
         with pytest.raises(ValueError, match=message):
+            ScoreCache.from_csv(text)
+
+    @pytest.mark.parametrize("comments", [[], ["# n_vars: 3"], ["# max_parents: 1"]])
+    def test_from_csv_requires_the_size_comments(self, comments):
+        text = "\n".join([*comments, CACHE_HEADER]) + "\n"
+        with pytest.raises(ValueError, match="missing '# (n_vars|max_parents):' comment"):
             ScoreCache.from_csv(text)
 
     def test_rebuild_is_byte_identical(self, small_study_data):
@@ -486,7 +503,7 @@ class TestSeparationOnDemand:
         seen = set()
         for node, mask in cache.entries:
             status = again.separation(node, mask)
-            assert status == detect_separation(separated_data, node, mask)
+            assert status == separation_of_design(*explicit_design(separated_data, node, mask))
             seen.add(status)
         assert seen == set(SeparationStatus)
 
@@ -514,9 +531,9 @@ class TestCacheAgainstQuadrature:
                 cache_best = max(masks, key=lambda m: cache.score(node, m))
                 oracle_scores = {}
                 for mask in masks:
-                    X, y = design_rows(data, node, mask)
+                    X, y = explicit_design(data, node, mask)
                     spec = student_spec(prior, X.shape[1])
-                    patterns, successes, trials = _aggregate(X, y)
+                    patterns, successes, trials = aggregate_design(X, y)
                     oracle_scores[mask] = gauss_hermite_log_marginal(
                         patterns, successes, spec, points=10, trials=trials
                     )
@@ -526,8 +543,3 @@ class TestCacheAgainstQuadrature:
         assert total == 100
         assert hits >= 90
 
-
-def _aggregate(X, y):
-    from abn_forge import aggregate_design
-
-    return aggregate_design(X, y)
