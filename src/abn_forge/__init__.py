@@ -41,12 +41,9 @@ from .graph import (
 )
 from .score import (
     CacheEntry,
-    FitError,
     GaussianPrior,
-    HessianNotPositiveDefinite,
     NodeFit,
     ScoreCache,
-    SingularSystemError,
     StrongGaussianPrior,
     StudentTPrior,
     build_score_cache,
@@ -66,9 +63,7 @@ __all__ = [
     "CyclicGraphError",
     "Dag",
     "Dataset",
-    "FitError",
     "GaussianPrior",
-    "HessianNotPositiveDefinite",
     "LINDLEY",
     "Metrics",
     "NodeFit",
@@ -77,7 +72,6 @@ __all__ = [
     "SEPARATION",
     "SearchResult",
     "SeparationStatus",
-    "SingularSystemError",
     "StrongGaussianPrior",
     "StudentTPrior",
     "StudyConfig",

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._util import atomic_write_text
 from .data import AbnParams, sample
-from .graph import compare, random_dag, to_cpdag
+from .graph import MAX_NODES, compare, random_dag, to_cpdag
 from .score import build_score_cache, prior_from_name
 from .search import exact_search
 
@@ -84,6 +84,12 @@ class StudyConfig:
             object.__setattr__(self, "intercept", float(self.intercept))
         if self.replicate_ids is not None:
             object.__setattr__(self, "replicate_ids", tuple(int(r) for r in self.replicate_ids))
+        if not (isinstance(self.n_nodes, int) and 1 <= self.n_nodes <= MAX_NODES):
+            raise ValueError(f"n_nodes must be an integer in 1..{MAX_NODES}, got {self.n_nodes!r}")
+        if self.max_parents is not None and not 0 <= self.max_parents < self.n_nodes:
+            raise ValueError(f"max_parents must be in 0..{self.n_nodes - 1}")
+        if not all(math.isfinite(v) for v in (self.edge_coef, self.intercept or 0.0)):
+            raise ValueError("edge_coef and intercept must be finite")
         if not self.densities or not all(0.0 < d <= 1.0 for d in self.densities):
             raise ValueError("densities must be a nonempty subset of (0, 1]")
         if not self.sample_sizes or not all(v >= 1 for v in self.sample_sizes):

@@ -47,18 +47,9 @@ from .data import (
 from .graph import MAX_NODES, _bits
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-class FitError(RuntimeError):
-    """Base class for node-fit failures."""
-
-
-class SingularSystemError(FitError):
-    """The weighted least-squares system became singular."""
-
-
-class HessianNotPositiveDefinite(FitError):
-    """The negative Hessian at the mode admits no Cholesky factor."""
+# a fit has converged once no coefficient moves by TOL in a sweep
+TOL = 1e-8
+MAX_ITER = 200
 
 
 class PriorTerms(NamedTuple):
@@ -263,7 +254,13 @@ def _binomial_loglik(patterns: np.ndarray, successes: np.ndarray, trials: np.nda
 
 @dataclass
 class NodeFit:
-    """One penalised logistic fit: mode, curvature, score, and diagnostics."""
+    """One penalised logistic fit: mode, curvature, score, and why it failed, if it did.
+
+    ``failure`` is empty for a scored fit.  Otherwise it says why the fit has
+    no score, checked in this order: a singular weighted system, no
+    convergence in ``MAX_ITER`` sweeps, a non-finite Laplace value (a
+    curvature with no Cholesky factor); ``log_marginal`` is then -inf.
+    """
 
     coef: np.ndarray
     neg_hessian: np.ndarray
@@ -271,25 +268,16 @@ class NodeFit:
     log_marginal: float
     converged: bool
     iterations: int
-    n_obs: int
-    separation: SeparationStatus | None = None
+    failure: str
 
 
-def fit_node(
-    X: np.ndarray,
-    y: np.ndarray,
-    prior: CoefficientPrior,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> NodeFit:
+def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
     """Fit one node's logistic regression by posterior-mode IRLS.
 
     ``X`` must carry the intercept as its first column; ``y`` is 0/1.
     Convergence means the largest coefficient change of a sweep fell below
-    ``tol``.  A fit that exhausts ``max_iter`` comes back with
-    ``converged=False`` and the best iterate found; a singular weighted
-    system raises :class:`SingularSystemError`.
+    ``TOL``.  A fit that cannot be scored comes back with ``failure`` set,
+    the last iterate as its mode and a ``log_marginal`` of -inf.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -299,10 +287,7 @@ def fit_node(
         raise ValueError("first design column must be the intercept")
     if len(y) and not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("outcomes must be 0 or 1")
-    patterns, successes, trials = aggregate_design(X, y)
-    fit = _fit_aggregated(patterns, successes, trials, prior, tol=tol, max_iter=max_iter)
-    fit.separation = separation_of_patterns(patterns, successes, trials)
-    return fit
+    return _fit_aggregated(*aggregate_design(X, y), prior)
 
 
 def _fit_aggregated(
@@ -310,12 +295,8 @@ def _fit_aggregated(
     successes: np.ndarray,
     trials: np.ndarray,
     prior: CoefficientPrior,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> NodeFit:
     n_coef = patterns.shape[1]
-    n_obs = int(round(trials.sum())) if len(trials) else 0
     terms = prior.terms(n_coef)
 
     def log_post(coef: np.ndarray) -> float:
@@ -324,11 +305,10 @@ def _fit_aggregated(
     beta = terms.centre.copy()
     current = log_post(beta)
     converged = False
-    iterations = 0
+    failure = ""
     diag = np.arange(n_coef)
 
-    for sweep in range(1, max_iter + 1):
-        iterations = sweep
+    for iterations in range(1, MAX_ITER + 1):
         inv_var = terms.precision(beta)
 
         eta = patterns @ beta
@@ -339,10 +319,12 @@ def _fit_aggregated(
         hess[diag, diag] += inv_var
         try:
             step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"weighted system singular at sweep {sweep} (flat prior on a separated design?)"
-            ) from exc
+        except np.linalg.LinAlgError:
+            failure = (
+                f"weighted system singular at sweep {iterations} "
+                "(flat prior on a separated design?)"
+            )
+            break
 
         candidate = beta + step
         value = log_post(candidate)
@@ -355,22 +337,27 @@ def _fit_aggregated(
         delta = float(np.abs(candidate - beta).max()) if n_coef else 0.0
         beta = candidate
         current = value
-        if delta < tol:
+        if delta < TOL:
             converged = True
             break
+    else:
+        failure = f"no convergence in {MAX_ITER} sweeps"
 
     p = expit(patterns @ beta)
     w = trials * p * (1.0 - p)
     neg_hessian = (patterns * w[:, None]).T @ patterns
     neg_hessian[diag, diag] += terms.curvature(beta)
 
-    if n_obs == 0:
+    n_obs = trials.sum()
+    if failure:
+        log_marginal = float("-inf")
+    elif n_obs == 0:
         log_marginal = 0.0
     else:
-        try:
-            log_marginal = _laplace_value(current, neg_hessian)
-        except HessianNotPositiveDefinite:
-            log_marginal = float("nan")
+        log_marginal = _laplace_value(current, neg_hessian)
+        if not math.isfinite(log_marginal):
+            failure = "non-finite log score"
+            log_marginal = float("-inf")
 
     return NodeFit(
         coef=beta,
@@ -379,16 +366,17 @@ def _fit_aggregated(
         log_marginal=log_marginal,
         converged=converged,
         iterations=iterations,
-        n_obs=n_obs,
+        failure=failure,
     )
 
 
 def _laplace_value(log_posterior_at_mode: float, neg_hessian: np.ndarray) -> float:
+    """The Laplace log marginal, or nan when the negative Hessian has no Cholesky factor."""
     n_coef = neg_hessian.shape[0]
     try:
         chol = np.linalg.cholesky(neg_hessian)
-    except np.linalg.LinAlgError as exc:
-        raise HessianNotPositiveDefinite("negative Hessian is not positive definite") from exc
+    except np.linalg.LinAlgError:
+        return float("nan")
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return log_posterior_at_mode + 0.5 * n_coef * LOG_2PI - 0.5 * log_det
 
@@ -498,7 +486,10 @@ class ScoreCache:
                     raise ValueError(f"expected {len(_CACHE_COLUMNS)} fields, got {len(row)}")
                 if row[3] not in ("true", "false"):
                     raise ValueError(f"converged must be true or false, got {row[3]!r}")
-                entry = CacheEntry(log_score=float(row[2]), converged=row[3] == "true")
+                log_score = float(row[2])
+                if math.isnan(log_score) or log_score == math.inf:
+                    raise ValueError(f"log_score must be finite or -inf, got {row[2]!r}")
+                entry = CacheEntry(log_score=log_score, converged=row[3] == "true")
                 parsed.append((number, int(row[0]), int(row[1]), entry, SeparationStatus(row[4])))
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from exc
@@ -545,23 +536,16 @@ def parent_masks(n_vars: int, node: int, max_parents: int) -> list[int]:
     return masks
 
 
-def build_score_cache(
-    data: Dataset,
-    prior: Prior,
-    max_parents: int | None = None,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> ScoreCache:
+def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = None) -> ScoreCache:
     """Score every candidate parent set of every node.
 
-    Scores are Laplace log marginal likelihoods; a fit that fails (singular
-    system, no convergence, or a curvature with no Cholesky factor) enters the
-    cache as -inf with a diagnostic, so downstream search simply never picks
-    it.  Entries are computed in ascending (node, mask) order, which together
-    with row-order-free aggregation makes the cache a pure function of the
-    data multiset.  No table is classified for separation here; the cache
-    keeps ``data`` so that :meth:`ScoreCache.separation` can do it on request.
+    Scores are Laplace log marginal likelihoods; a fit that fails enters the
+    cache as -inf with its ``NodeFit.failure`` as a diagnostic, so downstream
+    search simply never picks it.  Entries are computed in ascending (node,
+    mask) order, which together with row-order-free aggregation makes the
+    cache a pure function of the data multiset.  No table is classified for
+    separation here; the cache keeps ``data`` so that
+    :meth:`ScoreCache.separation` can do it on request.
     """
     n = data.n_vars
     if n < 1:
@@ -578,25 +562,10 @@ def build_score_cache(
 
     for node in range(n):
         for mask in parent_masks(n, node, max_parents):
-            patterns, successes, trials = data.parent_table(node, mask)
-            node_prior = prior.for_node(node, mask)
-            try:
-                fit = _fit_aggregated(
-                    patterns, successes, trials, node_prior, tol=tol, max_iter=max_iter
-                )
-            except FitError as exc:
-                entries[(node, mask)] = CacheEntry(float("-inf"), False)
-                diagnostics.append((node, mask, str(exc)))
-                continue
-            score = fit.log_marginal
-            if not fit.converged:
-                entries[(node, mask)] = CacheEntry(float("-inf"), False)
-                diagnostics.append((node, mask, f"no convergence in {max_iter} sweeps"))
-            elif not np.isfinite(score):
-                entries[(node, mask)] = CacheEntry(float("-inf"), True)
-                diagnostics.append((node, mask, "non-finite log score"))
-            else:
-                entries[(node, mask)] = CacheEntry(float(score), True)
+            fit = _fit_aggregated(*data.parent_table(node, mask), prior.for_node(node, mask))
+            entries[(node, mask)] = CacheEntry(fit.log_marginal, fit.converged)
+            if fit.failure:
+                diagnostics.append((node, mask, fit.failure))
 
     return ScoreCache(
         n_vars=n,

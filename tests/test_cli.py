@@ -186,6 +186,17 @@ class TestStudyCommand:
         assert run_cli("study", "--config", config, "--out", out) == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_nodes=30), dict(max_parents=3), dict(edge_coef=float("nan"))],
+    )
+    def test_rejects_config_values_no_cell_can_use(self, tmp_path, capsys, overrides):
+        config = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "results.csv"
+        assert run_cli("study", "--config", config, "--out", out, "--workers", 1) == 2
+        assert "malformed study config" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSummarizeCommand:
     def test_summary_and_svg(self, tmp_path, capsys):

@@ -91,6 +91,23 @@ class TestStudyConfig:
             priors=("wi", "st", "si"),
         )
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n_nodes=0), "n_nodes"),
+            (dict(n_nodes=30), "n_nodes"),
+            (dict(n_nodes=2.5), "n_nodes"),
+            (dict(max_parents=-1), "max_parents"),
+            (dict(max_parents=3), "max_parents"),
+            (dict(edge_coef=float("nan")), "edge_coef"),
+            (dict(edge_coef=float("inf")), "edge_coef"),
+            (dict(intercept=float("-inf")), "intercept"),
+        ],
+    )
+    def test_rejects_sizes_and_coefficients_no_cell_can_use(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_separation_config(**overrides)
+
     def test_rejects_out_of_range_replicate_ids(self):
         with pytest.raises(ValueError, match="replicate_ids"):
             tiny_separation_config(replicate_ids=(2,))

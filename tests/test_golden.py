@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abn_forge import AbnParams, Dag, build_score_cache, prior_from_name, sample
+from abn_forge import AbnParams, Dag, ScoreCache, build_score_cache, prior_from_name, sample
 from abn_forge.experiments import StudyConfig, results_to_csv, run_study
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -45,20 +45,20 @@ def _study_csv(config: StudyConfig) -> str:
     return results_to_csv(run_study(config, workers=1))
 
 
-def _cache_csv(prior_name: str) -> str:
+def _cache(prior_name: str) -> ScoreCache:
     truth = AbnParams.balanced(
         Dag.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4)])
     )
     data = sample(truth, 40, np.random.default_rng(0))
-    return build_score_cache(data, prior_from_name(prior_name, truth=truth)).to_csv()
+    return build_score_cache(data, prior_from_name(prior_name, truth=truth))
 
 
 CASES = {
     "separation_results.csv": lambda: _study_csv(SEPARATION),
     "lindley_results.csv": lambda: _study_csv(LINDLEY),
-    "cache_wi.csv": lambda: _cache_csv("wi"),
-    "cache_st.csv": lambda: _cache_csv("st"),
-    "cache_si.csv": lambda: _cache_csv("si"),
+    "cache_wi.csv": lambda: _cache("wi").to_csv(),
+    "cache_st.csv": lambda: _cache("st").to_csv(),
+    "cache_si.csv": lambda: _cache("si").to_csv(),
 }
 
 
@@ -66,6 +66,14 @@ CASES = {
 def test_output_matches_golden_file(name):
     expected = (GOLDEN / name).read_text()
     assert CASES[name]() == expected
+
+
+def test_st_failures_are_converged_fits_without_a_laplace_value():
+    cache = _cache("st")
+    failed = sorted(key for key, entry in cache.entries.items() if entry.log_score == float("-inf"))
+    assert len(failed) == 4
+    assert all(cache.entries[key].converged for key in failed)
+    assert cache.diagnostics == [(node, mask, "non-finite log score") for node, mask in failed]
 
 
 if __name__ == "__main__":
