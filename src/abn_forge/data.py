@@ -25,9 +25,11 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import expit
 
-from .graph import MAX_NODES, Dag, _bits, _edge_pairs, topological_order
+from .graph import MAX_NODES, Dag, _bit_columns, _edge_pairs, topological_order
 
 _LP_TOL = 1e-7
+# the element count that bounds the working arrays of batched table building and fitting
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,10 @@ class Dataset:
             raise ValueError(f"at most {MAX_NODES} variables supported")
         values.flags.writeable = False
         self.values = values
-        # each row packed into one integer, bit k = column k
+        # the distinct rows, each packed into one integer (bit k = column k), and their counts
         codes = values.astype(np.int64) @ (1 << np.arange(values.shape[1], dtype=np.int64))
-        codes.flags.writeable = False
-        self._codes = codes
+        self._rows, counts = np.unique(codes, return_counts=True)
+        self._counts = counts.astype(float)
 
     @property
     def n_obs(self) -> int:
@@ -131,9 +133,8 @@ class Dataset:
     def parent_table(self, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
 
-        Pattern columns are the intercept, then the parents in ascending
-        order; rows are the distinct parent configurations in ascending
-        packed order.  Every cache entry is scored and classified from it.
+        The one-key case of :meth:`parent_tables`, so its rows are exactly the
+        observed parent configurations.  Every cache entry is classified from it.
         """
         if not 0 <= node < self.n_vars:
             raise ValueError(f"node {node} out of range")
@@ -141,16 +142,46 @@ class Dataset:
             raise ValueError(f"node {node} cannot be its own parent")
         if parent_mask & ~((1 << self.n_vars) - 1):
             raise ValueError("parent mask references variables beyond the dataset")
-        parents = _bits(parent_mask)
-        sub = self._codes & parent_mask
-        uniq_codes, inverse = np.unique(sub, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        trials = np.bincount(inverse, minlength=len(uniq_codes)).astype(float)
-        successes = np.bincount(inverse, weights=self.values[:, node], minlength=len(uniq_codes))
-        patterns = np.empty((len(uniq_codes), 1 + len(parents)))
-        patterns[:, 0] = 1.0
-        for i, parent in enumerate(parents):
-            patterns[:, 1 + i] = (uniq_codes >> parent) & 1
+        patterns, successes, trials = self.parent_tables(np.array([node]), np.array([parent_mask]))
+        return patterns[0], successes[0], trials[0]
+
+    def parent_tables(
+        self, nodes: np.ndarray, masks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The aggregated designs of ``nodes[i]`` over ``masks[i]``, stacked; every mask has k bits.
+
+        Pattern columns are the intercept, then the parents ascending.  A
+        table's rows are its observed configurations, ascending with the first
+        parent most significant (as :func:`aggregate_design` sorts), then
+        zero-trial rows up to P, the most any table observes.  ``successes``
+        and ``trials`` are (B, P); ``patterns`` is (B, P, k+1), or one shared
+        (1, P, k+1) when P = 2^k and each table lists every configuration.
+        """
+        parents = _bit_columns(masks, self.n_vars)
+        n_keys, k = parents.shape
+        configs = 1 << k
+        counts = np.empty((n_keys, configs, 2))
+        # one bincount per chunk of keys, binning the distinct rows by (key, parents, node)
+        step = max(1, _CHUNK // max(1, len(self._rows)))
+        for lo in range(0, n_keys, step):
+            chunk = slice(lo, lo + step)
+            index = np.arange(len(parents[chunk]))[:, None]
+            for column in [*parents[chunk].T, nodes[chunk]]:
+                index = index << 1 | (self._rows >> column[:, None]) & 1
+            weights = np.broadcast_to(self._counts, index.shape).ravel()
+            bins = np.bincount(index.ravel(), weights, minlength=counts[chunk].size)
+            counts[chunk] = bins.reshape(-1, configs, 2)
+        successes = counts[..., 1]
+        trials = counts[..., 0] + successes
+        patterns = np.ones((1, configs, k + 1))
+        patterns[0, :, 1:] = (np.arange(configs)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        observed = trials > 0
+        width = int(observed.sum(axis=1).max(initial=0))
+        if width < configs:
+            rows = np.argsort(~observed, axis=1, kind="stable")[:, :width]
+            successes = np.take_along_axis(successes, rows, axis=1)
+            trials = np.take_along_axis(trials, rows, axis=1)
+            patterns = patterns[0, rows]
         return patterns, successes, trials
 
     def to_csv(self) -> str:

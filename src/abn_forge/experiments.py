@@ -90,6 +90,9 @@ class StudyConfig:
             raise ValueError(f"max_parents must be in 0..{self.n_nodes - 1}")
         if not all(math.isfinite(v) for v in (self.edge_coef, self.intercept or 0.0)):
             raise ValueError("edge_coef and intercept must be finite")
+        hyper = ("wi_variance", "st_df", "st_scale", "st_intercept_scale", "si_variance", "si_absent_variance")
+        if bad := [name for name in hyper if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0)]:
+            raise ValueError(f"prior hyperparameters must be finite and positive: {', '.join(bad)}")
         if not self.densities or not all(0.0 < d <= 1.0 for d in self.densities):
             raise ValueError("densities must be a nonempty subset of (0, 1]")
         if not self.sample_sizes or not all(v >= 1 for v in self.sample_sizes):

@@ -36,6 +36,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _bit_columns(masks: np.ndarray, n: int) -> np.ndarray:
+    """The set bits of each of ``masks`` (all below 2^n, all with k bits), ascending, as a (len, k) array."""
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return (np.flatnonzero(bits) % n).reshape(len(bits), -1)
+
+
 def _kahn_order(parents: tuple[int, ...]) -> list[int] | None:
     """Topological order of ``parents`` (lowest ready index first), or None on a cycle."""
     n = len(parents)

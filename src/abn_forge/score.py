@@ -23,7 +23,10 @@ The node score is the Laplace approximation at the mode
 
 with H the negative Hessian of the log posterior.  Duplicate design rows are
 aggregated into (pattern, successes, trials) counts first; the posterior is
-unchanged and binary designs collapse to at most 2^parents patterns.
+unchanged and binary designs collapse to at most 2^parents patterns.  Every
+parent set of one size shares those patterns, so a cache fits each size as
+stacks of tables, one Newton problem per stack; every sum over a table's rows
+runs in row order, so a score owes no bit to its stack or its padding.
 """
 
 from __future__ import annotations
@@ -32,19 +35,20 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from scipy.special import expit, gammaln
 
 from .data import (
+    _CHUNK,
     AbnParams,
     Dataset,
     SeparationStatus,
     aggregate_design,
     separation_of_patterns,
 )
-from .graph import MAX_NODES, _bits
+from .graph import MAX_NODES, _bit_columns
 
 LOG_2PI = math.log(2.0 * math.pi)
 # a fit has converged once no coefficient moves by TOL in a sweep
@@ -53,16 +57,42 @@ MAX_ITER = 200
 
 
 class PriorTerms(NamedTuple):
-    """A coefficient prior resolved for one fit: all the IRLS fit needs of it.
+    """A coefficient prior for a stack of fits: rows of normal means and variances, one per fit or shared.
 
-    ``precision`` is the diagonal IRLS working precision at a coefficient
-    vector and ``curvature`` the diagonal of minus the log prior's Hessian.
+    With ``df`` set the rows are Student t locations and scales.  ``precision``
+    is the IRLS working precision at a coefficient (for the t, the EM step's
+    conditional Gaussian); ``curvature`` is minus the log density's Hessian diagonal.
     """
 
     centre: np.ndarray
-    log_density: Callable[[np.ndarray], float]
-    precision: Callable[[np.ndarray], np.ndarray]
-    curvature: Callable[[np.ndarray], np.ndarray]
+    spread: np.ndarray
+    df: float | None = None
+
+    def take(self, rows: np.ndarray) -> PriorTerms:
+        return self._replace(centre=_per_fit(self.centre, rows), spread=_per_fit(self.spread, rows))
+
+    def log_density(self, coef: np.ndarray) -> np.ndarray:
+        u = coef - self.centre
+        if self.df is None:
+            v = self.spread
+            return -0.5 * _ordered_sum(np.where(np.isfinite(v), np.log(2.0 * np.pi * v) + u * u / v, 0.0), -1)
+        df, scale = self.df, self.spread
+        z = u / scale
+        const = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
+        return _ordered_sum(const - np.log(scale) - (df + 1.0) / 2.0 * np.log1p(z * z / df), -1)
+
+    def precision(self, coef: np.ndarray) -> np.ndarray:
+        if self.df is None:
+            return 1.0 / self.spread  # 0 for an infinite variance
+        u = coef - self.centre
+        return 1.0 / ((self.df * self.spread * self.spread + u * u) / (self.df + 1.0))
+
+    def curvature(self, coef: np.ndarray) -> np.ndarray:
+        if self.df is None:
+            return 1.0 / self.spread
+        u = coef - self.centre
+        a = self.df * self.spread * self.spread
+        return (self.df + 1.0) * (a - u * u) / (a + u * u) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +115,10 @@ class GaussianPrior:
             raise ValueError("prior variances must be positive")
         return mean, variance
 
-    def terms(self, n_coef: int) -> PriorTerms:
-        """The prior over ``n_coef`` coefficients as one fit uses it."""
+    def terms(self, n_coef: int, nodes: np.ndarray | None = None, masks: np.ndarray | None = None) -> PriorTerms:
+        """The prior over ``n_coef`` coefficients, one row shared by the fits of any ``nodes`` and ``masks``."""
         mean, variance = self.resolve(n_coef)
-        precision = _gaussian_curvature(variance)
-        return PriorTerms(
-            centre=mean,
-            log_density=lambda coef: _gaussian_log_prior(coef, mean, variance),
-            precision=lambda coef: precision,
-            curvature=lambda coef: precision,
-        )
+        return PriorTerms(mean[None], variance[None])
 
     def for_node(self, node: int, parent_mask: int) -> GaussianPrior:
         """The coefficient prior for one candidate parent set: this one, anywhere."""
@@ -133,21 +157,9 @@ class StudentTPrior:
         scales[0] = float(self.intercept_scale)
         return loc, scales
 
-    def terms(self, n_coef: int) -> PriorTerms:
+    def terms(self, n_coef: int, nodes: np.ndarray | None = None, masks: np.ndarray | None = None) -> PriorTerms:
         loc, scales = self.resolve(n_coef)
-        df = float(self.df)
-
-        def precision(coef: np.ndarray) -> np.ndarray:
-            # EM step: the t prior conditional on ``coef`` is this Gaussian
-            u = coef - loc
-            return _gaussian_curvature((df * scales * scales + u * u) / (df + 1.0))
-
-        return PriorTerms(
-            centre=loc,
-            log_density=lambda coef: _student_log_prior(coef, loc, scales, df),
-            precision=precision,
-            curvature=lambda coef: _student_curvature(coef, loc, scales, df),
-        )
+        return PriorTerms(loc[None], scales[None], float(self.df))
 
     def for_node(self, node: int, parent_mask: int) -> StudentTPrior:
         return self
@@ -180,22 +192,25 @@ class StrongGaussianPrior:
         if not (self.variance > 0 and self.absent_variance > 0):
             raise ValueError("prior variances must be positive")
 
+    def terms(self, n_coef: int, nodes: np.ndarray, masks: np.ndarray) -> PriorTerms:
+        """The concrete priors over ``n_coef`` coefficients of the fits of ``nodes[i]`` on ``masks[i]``."""
+        truth = self.truth
+        if not ((0 <= nodes) & (nodes < truth.n)).all():
+            raise ValueError(f"node {nodes.min() if nodes.min() < 0 else nodes.max()} out of range")
+        edge = np.full((truth.n, truth.n), np.nan)
+        for (parent, child), value in truth.edge_coef.items():
+            edge[parent, child] = value
+        slopes = edge[_bit_columns(masks, truth.n), nodes[:, None]]
+        present = ~np.isnan(slopes)
+        centre = np.column_stack([np.asarray(truth.intercepts)[nodes], np.where(present, slopes, 0.0)])
+        spread = np.where(present, self.variance, self.absent_variance)
+        spread = np.column_stack([np.full(len(nodes), self.variance), spread])
+        return PriorTerms(centre, spread)
+
     def for_node(self, node: int, parent_mask: int) -> GaussianPrior:
         """The concrete per-coefficient prior for one candidate parent set."""
-        truth = self.truth
-        if not 0 <= node < truth.n:
-            raise ValueError(f"node {node} out of range")
-        mean = [truth.intercepts[node]]
-        var = [self.variance]
-        for parent in _bits(parent_mask):
-            coef = truth.edge_coef.get((parent, node))
-            if coef is None:
-                mean.append(0.0)
-                var.append(self.absent_variance)
-            else:
-                mean.append(coef)
-                var.append(self.variance)
-        return GaussianPrior(mean=np.array(mean), variance=np.array(var))
+        terms = self.terms(1 + parent_mask.bit_count(), np.array([node]), np.array([parent_mask]))
+        return GaussianPrior(mean=terms.centre[0], variance=terms.spread[0])
 
     def describe(self) -> str:
         return (
@@ -205,51 +220,36 @@ class StrongGaussianPrior:
 
 
 # A prior on the coefficients of one fit, and a prior for a whole network:
-# ``for_node`` turns the latter into the former for each candidate parent set.
+# ``terms`` with nodes and masks turns either into the former for a stack of parent sets.
 CoefficientPrior = Union[GaussianPrior, StudentTPrior]
 Prior = Union[GaussianPrior, StudentTPrior, StrongGaussianPrior]
 
 
-def _gaussian_log_prior(coef: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
-    finite = np.isfinite(variance)
-    if not finite.any():
-        return 0.0
-    v = variance[finite]
-    u = coef[finite] - mean[finite]
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * v) + u * u / v))
+def _per_fit(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of an array with one leading row per fit, or one shared by all."""
+    return a if len(a) == 1 else a[rows]
 
 
-def _student_log_prior(coef: np.ndarray, loc: np.ndarray, scale: np.ndarray, df: float) -> float:
-    u = (coef - loc) / scale
-    per = (
-        gammaln((df + 1.0) / 2.0)
-        - gammaln(df / 2.0)
-        - 0.5 * math.log(df * math.pi)
-        - np.log(scale)
-        - (df + 1.0) / 2.0 * np.log1p(u * u / df)
-    )
-    return float(np.sum(per))
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` strictly in index order, so zero terms change no bit of the total."""
+    if a.shape[axis] == 0:
+        return a.sum(axis=axis)
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis)
 
 
-def _gaussian_curvature(variance: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        out = 1.0 / variance
-    return np.where(np.isfinite(variance), out, 0.0)
-
-
-def _student_curvature(coef: np.ndarray, loc: np.ndarray, scale: np.ndarray, df: float) -> np.ndarray:
-    u = coef - loc
-    a = df * scale * scale
-    return (df + 1.0) * (a - u * u) / (a + u * u) ** 2
-
-
-def _binomial_loglik(patterns: np.ndarray, successes: np.ndarray, trials: np.ndarray, coef: np.ndarray) -> float:
-    if len(trials) == 0:
-        return 0.0
-    eta = patterns @ coef
-    log_p = -np.logaddexp(0.0, -eta)
-    log_q = -np.logaddexp(0.0, eta)
-    return float(successes @ log_p + (trials - successes) @ log_q)
+def _each(solve, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``solve`` on whole stacks, or row by row once that raises; a row that raises is nan and flagged."""
+    failed = np.zeros(len(stacks[0]), dtype=bool)
+    try:
+        return solve(*stacks), failed
+    except np.linalg.LinAlgError:
+        out = np.full(stacks[-1].shape, np.nan)
+    for i in range(len(out)):
+        try:
+            out[i] = solve(*(stack[i : i + 1] for stack in stacks))[0]
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return out, failed
 
 
 @dataclass
@@ -271,13 +271,20 @@ class NodeFit:
     failure: str
 
 
+class FitStack(NamedTuple):
+    """The fit of each table of a stack, and the sweeps the stack ran: the most of any fit."""
+
+    fits: list[NodeFit]
+    iterations: int
+
+
 def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
     """Fit one node's logistic regression by posterior-mode IRLS.
 
-    ``X`` must carry the intercept as its first column; ``y`` is 0/1.
-    Convergence means the largest coefficient change of a sweep fell below
-    ``TOL``.  A fit that cannot be scored comes back with ``failure`` set,
-    the last iterate as its mode and a ``log_marginal`` of -inf.
+    ``X`` must carry the intercept as its first column; ``y`` is 0/1.  The
+    fit is a one-table stack, so it scores a cache entry's table bit for bit.
+    A fit that cannot be scored comes back with ``failure`` set, the last
+    iterate as its mode and a ``log_marginal`` of -inf.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -287,97 +294,116 @@ def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
         raise ValueError("first design column must be the intercept")
     if len(y) and not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("outcomes must be 0 or 1")
-    return _fit_aggregated(*aggregate_design(X, y), prior)
+    patterns, successes, trials = aggregate_design(X, y)
+    return _fit_aggregated(patterns[None], successes[None], trials[None], prior.terms(X.shape[1])).fits[0]
+
+
+class _Stack(NamedTuple):
+    """The fits of :func:`_fit_aggregated` still running; ``pairs`` holds each product of two pattern columns."""
+
+    patterns: np.ndarray
+    pairs: np.ndarray
+    successes: np.ndarray
+    trials: np.ndarray
+    prior: PriorTerms
+
+    def take(self, rows: np.ndarray) -> _Stack:
+        """The fits ``rows``, ascending and distinct, of this stack."""
+        if len(rows) == len(self.trials):
+            return self
+        return _Stack(*(_per_fit(a, rows) for a in self[:4]), self.prior.take(rows))
+
+    def linear(self, coef: np.ndarray) -> np.ndarray:
+        return _ordered_sum(self.patterns * coef[:, None, :], 2)
+
+    def log_post(self, coef: np.ndarray) -> np.ndarray:
+        eta, s, t = self.linear(coef), self.successes, self.trials
+        loglik = _ordered_sum(s * -np.logaddexp(0.0, -eta) + (t - s) * -np.logaddexp(0.0, eta), 1)
+        return loglik + self.prior.log_density(coef)
+
+    def neg_hessian(self, coef: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minus the log likelihood's Hessian plus ``prior_diag`` on the diagonal, and the fitted probabilities."""
+        p = expit(self.linear(coef))
+        packed = _ordered_sum(self.pairs * (self.trials * p * (1.0 - p))[..., None], 1)
+        d = coef.shape[1]
+        upper = np.triu_indices(d)
+        hess = np.empty((len(coef), d, d))
+        hess[:, upper[0], upper[1]] = packed
+        hess[:, upper[1], upper[0]] = packed
+        hess[:, np.arange(d), np.arange(d)] += prior_diag
+        return hess, p
 
 
 def _fit_aggregated(
     patterns: np.ndarray,
     successes: np.ndarray,
     trials: np.ndarray,
-    prior: CoefficientPrior,
-) -> NodeFit:
-    n_coef = patterns.shape[1]
-    terms = prior.terms(n_coef)
+    terms: PriorTerms,
+) -> FitStack:
+    """Posterior-mode IRLS of a stack of tables; row i of ``successes`` and ``trials`` is fit i.
 
-    def log_post(coef: np.ndarray) -> float:
-        return _binomial_loglik(patterns, successes, trials, coef) + terms.log_density(coef)
-
-    beta = terms.centre.copy()
-    current = log_post(beta)
-    converged = False
-    failure = ""
-    diag = np.arange(n_coef)
-
-    for iterations in range(1, MAX_ITER + 1):
-        inv_var = terms.precision(beta)
-
-        eta = patterns @ beta
-        p = expit(eta)
-        w = trials * p * (1.0 - p)
-        grad = patterns.T @ (successes - trials * p) - (beta - terms.centre) * inv_var
-        hess = (patterns * w[:, None]).T @ patterns
-        hess[diag, diag] += inv_var
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            failure = (
-                f"weighted system singular at sweep {iterations} "
-                "(flat prior on a separated design?)"
-            )
+    ``patterns`` is (B, P, d), or (1, P, d) shared by every fit, and so are
+    the rows of ``terms``.  Each fit steps, halves its step, converges (its
+    largest coefficient change of a sweep fell below ``TOL``) or fails on its
+    own, and depends on its table and prior alone.
+    """
+    n_fits = trials.shape[0]
+    upper = np.triu_indices(patterns.shape[-1])
+    stack = _Stack(patterns, patterns[..., upper[0]] * patterns[..., upper[1]], successes, trials, terms)
+    beta = np.broadcast_to(terms.centre, (n_fits, patterns.shape[-1])).copy()
+    current = stack.log_post(beta)
+    converged = np.zeros(n_fits, dtype=bool)
+    sweeps = np.zeros(n_fits, dtype=np.int64)
+    failure = [""] * n_fits
+    active, run = np.arange(n_fits), stack
+    for sweep in range(1, MAX_ITER + 1):
+        if not len(active):
             break
+        sweeps[active] = sweep
+        coef = beta[active]
+        inv_var = run.prior.precision(coef)
+        hess, p = run.neg_hessian(coef, inv_var)
+        grad = _ordered_sum(run.patterns * (run.successes - run.trials * p)[..., None], 1)
+        grad -= (coef - run.prior.centre) * inv_var
+        step, singular = _each(np.linalg.solve, hess, grad[..., None])
+        for i in active[singular]:
+            failure[i] = f"weighted system singular at sweep {sweep} (flat prior on a separated design?)"
+        ok = np.flatnonzero(~singular)
+        active, coef, step, run = active[ok], coef[ok], step[ok, :, 0], run.take(ok)
+        before, candidate = current[active], coef + step
+        value = run.log_post(candidate)
+        for _ in range(30):
+            worse = np.flatnonzero(value < before - 1e-12)
+            if not len(worse):
+                break
+            step[worse] = step[worse] / 2.0
+            candidate[worse] = coef[worse] + step[worse]
+            value[worse] = run.take(worse).log_post(candidate[worse])
+        beta[active], current[active] = candidate, value
+        done = np.abs(candidate - coef).max(axis=1, initial=0.0) < TOL
+        converged[active[done]] = True
+        active, run = active[~done], run.take(np.flatnonzero(~done))
+    for i in active:
+        failure[i] = f"no convergence in {MAX_ITER} sweeps"
 
-        candidate = beta + step
-        value = log_post(candidate)
-        halvings = 0
-        while value < current - 1e-12 and halvings < 30:
-            step = step / 2.0
-            candidate = beta + step
-            value = log_post(candidate)
-            halvings += 1
-        delta = float(np.abs(candidate - beta).max()) if n_coef else 0.0
-        beta = candidate
-        current = value
-        if delta < TOL:
-            converged = True
-            break
-    else:
-        failure = f"no convergence in {MAX_ITER} sweeps"
-
-    p = expit(patterns @ beta)
-    w = trials * p * (1.0 - p)
-    neg_hessian = (patterns * w[:, None]).T @ patterns
-    neg_hessian[diag, diag] += terms.curvature(beta)
-
-    n_obs = trials.sum()
-    if failure:
-        log_marginal = float("-inf")
-    elif n_obs == 0:
-        log_marginal = 0.0
-    else:
-        log_marginal = _laplace_value(current, neg_hessian)
-        if not math.isfinite(log_marginal):
-            failure = "non-finite log score"
-            log_marginal = float("-inf")
-
-    return NodeFit(
-        coef=beta,
-        neg_hessian=neg_hessian,
-        log_posterior=current,
-        log_marginal=log_marginal,
-        converged=converged,
-        iterations=iterations,
-        failure=failure,
-    )
+    neg_hessian, _ = stack.neg_hessian(beta, terms.curvature(beta))
+    log_marginal = np.full(n_fits, -np.inf)
+    unfailed = np.array([not message for message in failure])
+    log_marginal[unfailed & (trials.sum(axis=1) == 0)] = 0.0
+    scored = np.flatnonzero(unfailed & (trials.sum(axis=1) > 0))
+    value = _laplace_value(current[scored], neg_hessian[scored])
+    log_marginal[scored] = np.where(np.isfinite(value), value, -np.inf)
+    for i in scored[~np.isfinite(value)]:
+        failure[i] = "non-finite log score"
+    fits = zip(beta, neg_hessian, current.tolist(), log_marginal.tolist(), converged.tolist(), sweeps.tolist(), failure)
+    return FitStack([NodeFit(*fit) for fit in fits], int(sweeps.max(initial=0)))
 
 
-def _laplace_value(log_posterior_at_mode: float, neg_hessian: np.ndarray) -> float:
-    """The Laplace log marginal, or nan when the negative Hessian has no Cholesky factor."""
-    n_coef = neg_hessian.shape[0]
-    try:
-        chol = np.linalg.cholesky(neg_hessian)
-    except np.linalg.LinAlgError:
-        return float("nan")
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _laplace_value(log_posterior_at_mode: np.ndarray, neg_hessian: np.ndarray) -> np.ndarray:
+    """The Laplace log marginals of a stack of modes; nan where the negative Hessian has no Cholesky factor."""
+    n_coef = neg_hessian.shape[-1]
+    chol, _ = _each(np.linalg.cholesky, neg_hessian)
+    log_det = 2.0 * _ordered_sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), 1)
     return log_posterior_at_mode + 0.5 * n_coef * LOG_2PI - 0.5 * log_det
 
 
@@ -541,9 +567,10 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
 
     Scores are Laplace log marginal likelihoods; a fit that fails enters the
     cache as -inf with its ``NodeFit.failure`` as a diagnostic, so downstream
-    search simply never picks it.  Entries are computed in ascending (node,
-    mask) order, which together with row-order-free aggregation makes the
-    cache a pure function of the data multiset.  No table is classified for
+    search simply never picks it.  The parent sets of one size are fit as
+    stacks of at most about ``_CHUNK`` working elements, each distinct
+    (table, prior row) once; a score depends on its table and prior alone,
+    so the cache is a pure function of the data multiset.  No table is classified for
     separation here; the cache keeps ``data`` so that
     :meth:`ScoreCache.separation` can do it on request.
     """
@@ -557,16 +584,29 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     if isinstance(prior, StrongGaussianPrior) and prior.truth.n != n:
         raise ValueError("informed prior truth has a different variable count")
 
-    entries: dict[tuple[int, int], CacheEntry] = {}
-    diagnostics: list[tuple[int, int, str]] = []
+    keys = [(node, mask) for node in range(n) for mask in parent_masks(n, node, max_parents)]
+    nodes, masks = np.array(keys, dtype=np.int64).T
+    sizes = np.array([mask.bit_count() for _, mask in keys])
+    fits_by_key: list = [None] * len(keys)
+    for size in range(max_parents + 1):
+        at = np.flatnonzero(sizes == size)
+        patterns, successes, trials = data.parent_tables(nodes[at], masks[at])
+        terms = prior.terms(size + 1, nodes[at], masks[at])
+        # fit each distinct (table, prior row) once
+        columns = [successes, trials, *(np.broadcast_to(a, (len(at), size + 1)) for a in terms[:2])]
+        if len(patterns) > 1:
+            columns.append(patterns.reshape(len(at), -1))
+        _, first, inverse = np.unique(np.hstack(columns), axis=0, return_index=True, return_inverse=True)
+        step = max(1, _CHUNK // max(1, successes.shape[1] * (size + 1) * (size + 2) // 2))
+        distinct = []
+        for rows in (first[lo : lo + step] for lo in range(0, len(first), step)):
+            table = _per_fit(patterns, rows), successes[rows], trials[rows]
+            distinct += _fit_aggregated(*table, terms.take(rows)).fits
+        for key, row in zip(at, inverse.reshape(-1)):
+            fits_by_key[key] = distinct[row]
 
-    for node in range(n):
-        for mask in parent_masks(n, node, max_parents):
-            fit = _fit_aggregated(*data.parent_table(node, mask), prior.for_node(node, mask))
-            entries[(node, mask)] = CacheEntry(fit.log_marginal, fit.converged)
-            if fit.failure:
-                diagnostics.append((node, mask, fit.failure))
-
+    entries = {key: CacheEntry(fit.log_marginal, fit.converged) for key, fit in zip(keys, fits_by_key)}
+    diagnostics = [(node, mask, fit.failure) for (node, mask), fit in zip(keys, fits_by_key) if fit.failure]
     return ScoreCache(
         n_vars=n,
         max_parents=max_parents,

@@ -188,7 +188,14 @@ class TestStudyCommand:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(n_nodes=30), dict(max_parents=3), dict(edge_coef=float("nan"))],
+        [
+            dict(n_nodes=30),
+            dict(max_parents=3),
+            dict(edge_coef=float("nan")),
+            dict(wi_variance=float("nan")),
+            dict(priors=["wi", "st"], st_df=0.0),
+            dict(priors=["wi", "st"], st_scale=-1.0),
+        ],
     )
     def test_rejects_config_values_no_cell_can_use(self, tmp_path, capsys, overrides):
         config = self.write_config(tmp_path, **overrides)

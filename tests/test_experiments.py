@@ -102,6 +102,13 @@ class TestStudyConfig:
             (dict(edge_coef=float("nan")), "edge_coef"),
             (dict(edge_coef=float("inf")), "edge_coef"),
             (dict(intercept=float("-inf")), "intercept"),
+            (dict(wi_variance=float("nan")), "wi_variance"),
+            (dict(wi_variance=0.0), "wi_variance"),
+            (dict(st_df=0.0), "st_df"),
+            (dict(st_scale=-1.0), "st_scale"),
+            (dict(st_intercept_scale=float("inf")), "st_intercept_scale"),
+            (dict(si_variance=float("-inf")), "si_variance"),
+            (dict(si_absent_variance=float("nan")), "si_absent_variance"),
         ],
     )
     def test_rejects_sizes_and_coefficients_no_cell_can_use(self, overrides, message):

@@ -45,12 +45,12 @@ def _study_csv(config: StudyConfig) -> str:
     return results_to_csv(run_study(config, workers=1))
 
 
+TRUTH = AbnParams.balanced(Dag.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4)]))
+
+
 def _cache(prior_name: str) -> ScoreCache:
-    truth = AbnParams.balanced(
-        Dag.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4)])
-    )
-    data = sample(truth, 40, np.random.default_rng(0))
-    return build_score_cache(data, prior_from_name(prior_name, truth=truth))
+    data = sample(TRUTH, 40, np.random.default_rng(0))
+    return build_score_cache(data, prior_from_name(prior_name, truth=TRUTH))
 
 
 CASES = {

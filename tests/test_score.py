@@ -26,14 +26,17 @@ from abn_forge import (
 )
 from abn_forge import score as score_module
 from abn_forge.experiments import StudyConfig, run_study
-from abn_forge.score import _laplace_value, parent_masks
+from abn_forge.score import _fit_aggregated, _laplace_value, parent_masks
 from oracles import (
     explicit_design,
     gauss_hermite_log_marginal,
     newton_mle,
     quad_log_marginal,
     ref_log_posterior,
+    scalar_irls_fit,
 )
+from test_golden import TRUTH as GOLDEN_TRUTH
+from test_golden import _cache as golden_cache
 
 CACHE_HEADER = "node,parent_mask,log_score,converged,separation"
 
@@ -308,7 +311,8 @@ class TestLogMarginal:
         rng = np.random.default_rng(10)
         X, y = bernoulli_design(rng, 30, [0.0, 0.0])
         fit = fit_node(X, y, GaussianPrior())
-        assert not np.isfinite(_laplace_value(fit.log_posterior, -np.eye(2)))
+        [value] = _laplace_value(np.array([fit.log_posterior]), -np.eye(2)[None])
+        assert not np.isfinite(value)
 
 
 @pytest.fixture(scope="module")
@@ -548,3 +552,100 @@ class TestCacheAgainstQuadrature:
         assert total == 100
         assert hits >= 90
 
+
+
+FLAT = GaussianPrior(mean=0.0, variance=float("inf"))
+
+
+@pytest.fixture(scope="module")
+def flat_failures():
+    # under a flat prior, the size-2 parent sets here include a singular
+    # system, a fit that never converges, and scored fits
+    return Dataset(np.random.default_rng(3).integers(0, 2, (20, 4)))
+
+
+def assert_matches_scalar_reference(cache, prior):
+    failures = {(node, mask): message for node, mask, message in cache.diagnostics}
+    for (node, mask), entry in cache.entries.items():
+        ref = scalar_irls_fit(*cache.data.parent_table(node, mask), prior.for_node(node, mask))
+        assert entry.converged == ref.converged, (node, mask)
+        assert failures.get((node, mask), "") == ref.failure, (node, mask)
+        if ref.failure:
+            assert entry.log_score == float("-inf")
+        else:
+            assert abs(entry.log_score - ref.log_marginal) <= 1e-9, (node, mask)
+
+
+def stack_rows(table, rows):
+    patterns, successes, trials = table
+    return (patterns if len(patterns) == 1 else patterns[rows]), successes[rows], trials[rows]
+
+
+def size_two_keys(n_vars):
+    keys = [(node, mask) for node in range(n_vars) for mask in parent_masks(n_vars, node, 2)]
+    keys = [(node, mask) for node, mask in keys if mask.bit_count() == 2]
+    return np.array([node for node, _ in keys]), np.array([mask for _, mask in keys])
+
+
+class TestBatchedFit:
+    @pytest.mark.parametrize("name", ["wi", "st", "si"])
+    def test_golden_caches_match_the_scalar_reference(self, name):
+        prior = prior_from_name(name, truth=GOLDEN_TRUTH)
+        assert_matches_scalar_reference(golden_cache(name), prior)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_caches_match_the_scalar_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        truth = AbnParams.balanced(random_dag(4 + seed % 2, 0.8, rng))
+        data = sample(truth, 30 + 20 * seed, rng)
+        for prior in (GaussianPrior(), StudentTPrior(), StrongGaussianPrior(truth=truth)):
+            assert_matches_scalar_reference(build_score_cache(data, prior), prior)
+
+    def test_flat_prior_failures_match_the_scalar_reference(self):
+        # separated tables: on a flat prior the iterate runs off until the
+        # weighted system is singular, here at the same sweep in both fits
+        rows = [[0, 0, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0], [0, 1, 0]]
+        data = Dataset(np.repeat(rows, 4, axis=0).astype(np.uint8))
+        cache = build_score_cache(data, FLAT)
+        assert len(cache.diagnostics) == 5
+        assert all(message.startswith("weighted system singular") for *_, message in cache.diagnostics)
+        assert_matches_scalar_reference(cache, FLAT)
+
+    def test_a_table_scores_the_same_anywhere_in_any_stack(self, small_study_data):
+        _, _, data = small_study_data
+        table = data.parent_tables(*size_two_keys(4))
+        for prior in (GaussianPrior(), StudentTPrior()):
+            terms = prior.terms(3)
+            alone = [_fit_aggregated(*stack_rows(table, [i]), terms).fits[0] for i in range(12)]
+            for order in ([11, 5, 0, 7], [3, 3], [7], list(range(12))[::-1]):
+                stack = _fit_aggregated(*stack_rows(table, order), terms)
+                for fit, i in zip(stack.fits, order):
+                    assert fit.log_marginal == alone[i].log_marginal
+                    assert np.array_equal(fit.coef, alone[i].coef)
+                    assert np.array_equal(fit.neg_hessian, alone[i].neg_hessian)
+
+    def test_fit_node_gives_the_cache_entry_bit_for_bit(self):
+        # few rows, so many tables miss configurations and are padded in the stack
+        truth = AbnParams.balanced(Dag.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        data = sample(truth, 40, np.random.default_rng(3))
+        for name in ("wi", "st", "si"):
+            prior = prior_from_name(name, truth=truth)
+            cache = build_score_cache(data, prior)
+            for (node, mask), entry in cache.entries.items():
+                fit = fit_node(*explicit_design(data, node, mask), prior.for_node(node, mask))
+                assert fit.log_marginal == entry.log_score, (name, node, mask)
+                assert fit.converged == entry.converged
+
+    def test_failing_rows_fail_alone(self, flat_failures):
+        table = flat_failures.parent_tables(*size_two_keys(4))
+        terms = FLAT.terms(3)
+        stack = _fit_aggregated(*table, terms)
+        kinds = [fit.failure.partition(" ")[0] for fit in stack.fits]
+        assert kinds.count("weighted") >= 1 and kinds.count("no") == 1 and kinds.count("") >= 2
+        for i, fit in enumerate(stack.fits):
+            [alone] = _fit_aggregated(*stack_rows(table, [i]), terms).fits
+            assert alone.failure == fit.failure
+            assert alone.iterations == fit.iterations
+            assert alone.log_marginal == fit.log_marginal
+            assert np.array_equal(alone.coef, fit.coef)
+        assert stack.iterations == 200
