@@ -133,8 +133,7 @@ class Dataset:
     def parent_table(self, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
 
-        The one-key case of :meth:`parent_tables`, so its rows are exactly the
-        observed parent configurations.  Every cache entry is classified from it.
+        The one-key case of :meth:`parent_tables`: the observed configurations, and no padding.
         """
         if not 0 <= node < self.n_vars:
             raise ValueError(f"node {node} out of range")
@@ -142,20 +141,18 @@ class Dataset:
             raise ValueError(f"node {node} cannot be its own parent")
         if parent_mask & ~((1 << self.n_vars) - 1):
             raise ValueError("parent mask references variables beyond the dataset")
-        patterns, successes, trials = self.parent_tables(np.array([node]), np.array([parent_mask]))
-        return patterns[0], successes[0], trials[0]
+        return tuple(table[0] for table in self.parent_tables(np.array([node]), np.array([parent_mask])))
 
     def parent_tables(
         self, nodes: np.ndarray, masks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The aggregated designs of ``nodes[i]`` over ``masks[i]``, stacked; every mask has k bits.
 
-        Pattern columns are the intercept, then the parents ascending.  A
-        table's rows are its observed configurations, ascending with the first
-        parent most significant (as :func:`aggregate_design` sorts), then
-        zero-trial rows up to P, the most any table observes.  ``successes``
-        and ``trials`` are (B, P); ``patterns`` is (B, P, k+1), or one shared
-        (1, P, k+1) when P = 2^k and each table lists every configuration.
+        Pattern columns are the intercept, then the parents ascending.  A table's rows are its
+        observed configurations, ascending with the first parent most significant (as
+        :func:`aggregate_design` sorts), then zero-trial rows up to P, the most any table observes.
+        ``successes`` and ``trials`` are (B, P); ``patterns`` is (B, P, k+1), or (1, P, k+1) shared
+        when P = 2^k and each table lists every configuration.
         """
         parents = _bit_columns(masks, self.n_vars)
         n_keys, k = parents.shape
@@ -171,16 +168,14 @@ class Dataset:
             weights = np.broadcast_to(self._counts, index.shape).ravel()
             bins = np.bincount(index.ravel(), weights, minlength=counts[chunk].size)
             counts[chunk] = bins.reshape(-1, configs, 2)
-        successes = counts[..., 1]
-        trials = counts[..., 0] + successes
+        successes, trials = counts[..., 1], counts[..., 0] + counts[..., 1]
         patterns = np.ones((1, configs, k + 1))
         patterns[0, :, 1:] = (np.arange(configs)[:, None] >> np.arange(k - 1, -1, -1)) & 1
         observed = trials > 0
         width = int(observed.sum(axis=1).max(initial=0))
         if width < configs:
             rows = np.argsort(~observed, axis=1, kind="stable")[:, :width]
-            successes = np.take_along_axis(successes, rows, axis=1)
-            trials = np.take_along_axis(trials, rows, axis=1)
+            successes, trials = (np.take_along_axis(a, rows, axis=1) for a in (successes, trials))
             patterns = patterns[0, rows]
         return patterns, successes, trials
 

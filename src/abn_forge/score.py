@@ -23,10 +23,8 @@ The node score is the Laplace approximation at the mode
 
 with H the negative Hessian of the log posterior.  Duplicate design rows are
 aggregated into (pattern, successes, trials) counts first; the posterior is
-unchanged and binary designs collapse to at most 2^parents patterns.  Every
-parent set of one size shares those patterns, so a cache fits each size as
-stacks of tables, one Newton problem per stack; every sum over a table's rows
-runs in row order, so a score owes no bit to its stack or its padding.
+unchanged and binary designs collapse to at most 2^parents patterns, shared by every parent
+set of one size: a cache fits them as stacked Newton problems (see :func:`_fit_aggregated`).
 """
 
 from __future__ import annotations
@@ -59,9 +57,8 @@ MAX_ITER = 200
 class PriorTerms(NamedTuple):
     """A coefficient prior for a stack of fits: rows of normal means and variances, one per fit or shared.
 
-    With ``df`` set the rows are Student t locations and scales.  ``precision``
-    is the IRLS working precision at a coefficient (for the t, the EM step's
-    conditional Gaussian); ``curvature`` is minus the log density's Hessian diagonal.
+    With ``df`` set the rows are Student t locations and scales.  ``precision`` is the IRLS working
+    precision (for the t, the EM step's); ``curvature`` is minus the log density's Hessian diagonal.
     """
 
     centre: np.ndarray
@@ -95,8 +92,20 @@ class PriorTerms(NamedTuple):
         return (self.df + 1.0) * (a - u * u) / (a + u * u) ** 2
 
 
+class _PositionFree:
+    """A coefficient prior that a network uses as it is, for every parent set of every node."""
+
+    def for_node(self, node: int, parent_mask: int) -> CoefficientPrior:
+        """The coefficient prior for one candidate parent set: this one, anywhere."""
+        return self
+
+    def for_masks(self, nodes: np.ndarray, masks: np.ndarray) -> PriorTerms:
+        """The priors of the fits of ``nodes[i]`` on ``masks[i]`` (all of one size): one shared row."""
+        return self.terms(1 + int(masks[0]).bit_count())
+
+
 @dataclass(frozen=True, eq=False)
-class GaussianPrior:
+class GaussianPrior(_PositionFree):
     """Independent normal priors; ``mean`` and ``variance`` broadcast per coefficient.
 
     An infinite variance marks a coefficient as unpenalised: it contributes
@@ -115,14 +124,10 @@ class GaussianPrior:
             raise ValueError("prior variances must be positive")
         return mean, variance
 
-    def terms(self, n_coef: int, nodes: np.ndarray | None = None, masks: np.ndarray | None = None) -> PriorTerms:
-        """The prior over ``n_coef`` coefficients, one row shared by the fits of any ``nodes`` and ``masks``."""
+    def terms(self, n_coef: int) -> PriorTerms:
+        """The prior over ``n_coef`` coefficients as one fit uses it."""
         mean, variance = self.resolve(n_coef)
         return PriorTerms(mean[None], variance[None])
-
-    def for_node(self, node: int, parent_mask: int) -> GaussianPrior:
-        """The coefficient prior for one candidate parent set: this one, anywhere."""
-        return self
 
     def describe(self) -> str:
         """The label of the ``# prior:`` cache header and the CLI summary."""
@@ -134,7 +139,7 @@ class GaussianPrior:
 
 
 @dataclass(frozen=True)
-class StudentTPrior:
+class StudentTPrior(_PositionFree):
     """Independent Student t priors, Cauchy by default.
 
     Slopes get ``scale``; the intercept (column 0 of every design) gets
@@ -157,12 +162,9 @@ class StudentTPrior:
         scales[0] = float(self.intercept_scale)
         return loc, scales
 
-    def terms(self, n_coef: int, nodes: np.ndarray | None = None, masks: np.ndarray | None = None) -> PriorTerms:
+    def terms(self, n_coef: int) -> PriorTerms:
         loc, scales = self.resolve(n_coef)
         return PriorTerms(loc[None], scales[None], float(self.df))
-
-    def for_node(self, node: int, parent_mask: int) -> StudentTPrior:
-        return self
 
     def describe(self) -> str:
         return (
@@ -192,8 +194,8 @@ class StrongGaussianPrior:
         if not (self.variance > 0 and self.absent_variance > 0):
             raise ValueError("prior variances must be positive")
 
-    def terms(self, n_coef: int, nodes: np.ndarray, masks: np.ndarray) -> PriorTerms:
-        """The concrete priors over ``n_coef`` coefficients of the fits of ``nodes[i]`` on ``masks[i]``."""
+    def for_masks(self, nodes: np.ndarray, masks: np.ndarray) -> PriorTerms:
+        """The concrete priors of the fits of ``nodes[i]`` on ``masks[i]`` (all of one size), one row each."""
         truth = self.truth
         if not ((0 <= nodes) & (nodes < truth.n)).all():
             raise ValueError(f"node {nodes.min() if nodes.min() < 0 else nodes.max()} out of range")
@@ -209,7 +211,7 @@ class StrongGaussianPrior:
 
     def for_node(self, node: int, parent_mask: int) -> GaussianPrior:
         """The concrete per-coefficient prior for one candidate parent set."""
-        terms = self.terms(1 + parent_mask.bit_count(), np.array([node]), np.array([parent_mask]))
+        terms = self.for_masks(np.array([node]), np.array([parent_mask]))
         return GaussianPrior(mean=terms.centre[0], variance=terms.spread[0])
 
     def describe(self) -> str:
@@ -220,7 +222,7 @@ class StrongGaussianPrior:
 
 
 # A prior on the coefficients of one fit, and a prior for a whole network:
-# ``terms`` with nodes and masks turns either into the former for a stack of parent sets.
+# ``for_masks`` turns the latter into the former for a stack of parent sets.
 CoefficientPrior = Union[GaussianPrior, StudentTPrior]
 Prior = Union[GaussianPrior, StudentTPrior, StrongGaussianPrior]
 
@@ -272,9 +274,15 @@ class NodeFit:
 
 
 class FitStack(NamedTuple):
-    """The fit of each table of a stack, and the sweeps the stack ran: the most of any fit."""
+    """A stack's fits in :class:`NodeFit`'s fields, a row each; ``iterations`` is the most ``sweeps``."""
 
-    fits: list[NodeFit]
+    coef: np.ndarray
+    neg_hessian: np.ndarray
+    log_posterior: np.ndarray
+    log_marginal: np.ndarray
+    converged: np.ndarray
+    sweeps: np.ndarray
+    failure: list[str]
     iterations: int
 
 
@@ -295,7 +303,8 @@ def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
     if len(y) and not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("outcomes must be 0 or 1")
     patterns, successes, trials = aggregate_design(X, y)
-    return _fit_aggregated(patterns[None], successes[None], trials[None], prior.terms(X.shape[1])).fits[0]
+    stack = _fit_aggregated(patterns[None], successes[None], trials[None], prior.terms(X.shape[1]))
+    return NodeFit(stack.coef[0], stack.neg_hessian[0], *(a[0].item() for a in stack[2:6]), stack.failure[0])
 
 
 class _Stack(NamedTuple):
@@ -308,28 +317,23 @@ class _Stack(NamedTuple):
     prior: PriorTerms
 
     def take(self, rows: np.ndarray) -> _Stack:
-        """The fits ``rows``, ascending and distinct, of this stack."""
-        if len(rows) == len(self.trials):
+        if len(rows) == len(self.trials):  # rows are ascending and distinct: all of them
             return self
         return _Stack(*(_per_fit(a, rows) for a in self[:4]), self.prior.take(rows))
 
-    def linear(self, coef: np.ndarray) -> np.ndarray:
-        return _ordered_sum(self.patterns * coef[:, None, :], 2)
-
     def log_post(self, coef: np.ndarray) -> np.ndarray:
-        eta, s, t = self.linear(coef), self.successes, self.trials
+        eta, s, t = _ordered_sum(self.patterns * coef[:, None, :], 2), self.successes, self.trials
         loglik = _ordered_sum(s * -np.logaddexp(0.0, -eta) + (t - s) * -np.logaddexp(0.0, eta), 1)
         return loglik + self.prior.log_density(coef)
 
     def neg_hessian(self, coef: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minus the log likelihood's Hessian plus ``prior_diag`` on the diagonal, and the fitted probabilities."""
-        p = expit(self.linear(coef))
+        p = expit(_ordered_sum(self.patterns * coef[:, None, :], 2))
         packed = _ordered_sum(self.pairs * (self.trials * p * (1.0 - p))[..., None], 1)
         d = coef.shape[1]
-        upper = np.triu_indices(d)
+        i, j = np.triu_indices(d)
         hess = np.empty((len(coef), d, d))
-        hess[:, upper[0], upper[1]] = packed
-        hess[:, upper[1], upper[0]] = packed
+        hess[:, i, j] = hess[:, j, i] = packed
         hess[:, np.arange(d), np.arange(d)] += prior_diag
         return hess, p
 
@@ -342,10 +346,10 @@ def _fit_aggregated(
 ) -> FitStack:
     """Posterior-mode IRLS of a stack of tables; row i of ``successes`` and ``trials`` is fit i.
 
-    ``patterns`` is (B, P, d), or (1, P, d) shared by every fit, and so are
-    the rows of ``terms``.  Each fit steps, halves its step, converges (its
-    largest coefficient change of a sweep fell below ``TOL``) or fails on its
-    own, and depends on its table and prior alone.
+    ``patterns`` is (B, P, d), or (1, P, d) shared by every fit, and so are the rows of ``terms``.
+    Each fit steps, halves its step, converges (no coefficient moved by ``TOL`` in a sweep) or
+    fails on its own; every sum over table rows runs in row order, so a score owes no bit to its
+    stack or to zero-trial rows.
     """
     n_fits = trials.shape[0]
     upper = np.triu_indices(patterns.shape[-1])
@@ -387,16 +391,14 @@ def _fit_aggregated(
         failure[i] = f"no convergence in {MAX_ITER} sweeps"
 
     neg_hessian, _ = stack.neg_hessian(beta, terms.curvature(beta))
-    log_marginal = np.full(n_fits, -np.inf)
     unfailed = np.array([not message for message in failure])
-    log_marginal[unfailed & (trials.sum(axis=1) == 0)] = 0.0
     scored = np.flatnonzero(unfailed & (trials.sum(axis=1) > 0))
     value = _laplace_value(current[scored], neg_hessian[scored])
+    log_marginal = np.where(unfailed, 0.0, -np.inf)  # 0 is the score of an empty table
     log_marginal[scored] = np.where(np.isfinite(value), value, -np.inf)
     for i in scored[~np.isfinite(value)]:
         failure[i] = "non-finite log score"
-    fits = zip(beta, neg_hessian, current.tolist(), log_marginal.tolist(), converged.tolist(), sweeps.tolist(), failure)
-    return FitStack([NodeFit(*fit) for fit in fits], int(sweeps.max(initial=0)))
+    return FitStack(beta, neg_hessian, current, log_marginal, converged, sweeps, failure, int(sweeps.max(initial=0)))
 
 
 def _laplace_value(log_posterior_at_mode: np.ndarray, neg_hessian: np.ndarray) -> np.ndarray:
@@ -587,26 +589,29 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     keys = [(node, mask) for node in range(n) for mask in parent_masks(n, node, max_parents)]
     nodes, masks = np.array(keys, dtype=np.int64).T
     sizes = np.array([mask.bit_count() for _, mask in keys])
-    fits_by_key: list = [None] * len(keys)
+    log_score, converged = np.empty(len(keys)), np.empty(len(keys), dtype=bool)
+    failure = np.empty(len(keys), dtype=object)
     for size in range(max_parents + 1):
         at = np.flatnonzero(sizes == size)
         patterns, successes, trials = data.parent_tables(nodes[at], masks[at])
-        terms = prior.terms(size + 1, nodes[at], masks[at])
+        terms = prior.for_masks(nodes[at], masks[at])
         # fit each distinct (table, prior row) once
         columns = [successes, trials, *(np.broadcast_to(a, (len(at), size + 1)) for a in terms[:2])]
         if len(patterns) > 1:
             columns.append(patterns.reshape(len(at), -1))
         _, first, inverse = np.unique(np.hstack(columns), axis=0, return_index=True, return_inverse=True)
         step = max(1, _CHUNK // max(1, successes.shape[1] * (size + 1) * (size + 2) // 2))
-        distinct = []
-        for rows in (first[lo : lo + step] for lo in range(0, len(first), step)):
-            table = _per_fit(patterns, rows), successes[rows], trials[rows]
-            distinct += _fit_aggregated(*table, terms.take(rows)).fits
-        for key, row in zip(at, inverse.reshape(-1)):
-            fits_by_key[key] = distinct[row]
+        fits = [
+            _fit_aggregated(_per_fit(patterns, rows), successes[rows], trials[rows], terms.take(rows))
+            for rows in (first[lo : lo + step] for lo in range(0, len(first), step))
+        ]
+        inverse = inverse.reshape(-1)
+        log_score[at] = np.concatenate([fit.log_marginal for fit in fits])[inverse]
+        converged[at] = np.concatenate([fit.converged for fit in fits])[inverse]
+        failure[at] = np.concatenate([fit.failure for fit in fits])[inverse]
 
-    entries = {key: CacheEntry(fit.log_marginal, fit.converged) for key, fit in zip(keys, fits_by_key)}
-    diagnostics = [(node, mask, fit.failure) for (node, mask), fit in zip(keys, fits_by_key) if fit.failure]
+    entries = {key: CacheEntry(float(log_score[i]), bool(converged[i])) for i, key in enumerate(keys)}
+    diagnostics = [(node, mask, str(failure[i])) for i, (node, mask) in enumerate(keys) if failure[i]]
     return ScoreCache(
         n_vars=n,
         max_parents=max_parents,

@@ -553,7 +553,6 @@ class TestCacheAgainstQuadrature:
         assert hits >= 90
 
 
-
 FLAT = GaussianPrior(mean=0.0, variance=float("inf"))
 
 
@@ -616,13 +615,13 @@ class TestBatchedFit:
         table = data.parent_tables(*size_two_keys(4))
         for prior in (GaussianPrior(), StudentTPrior()):
             terms = prior.terms(3)
-            alone = [_fit_aggregated(*stack_rows(table, [i]), terms).fits[0] for i in range(12)]
+            alone = [_fit_aggregated(*stack_rows(table, [i]), terms) for i in range(12)]
             for order in ([11, 5, 0, 7], [3, 3], [7], list(range(12))[::-1]):
                 stack = _fit_aggregated(*stack_rows(table, order), terms)
-                for fit, i in zip(stack.fits, order):
-                    assert fit.log_marginal == alone[i].log_marginal
-                    assert np.array_equal(fit.coef, alone[i].coef)
-                    assert np.array_equal(fit.neg_hessian, alone[i].neg_hessian)
+                for position, i in enumerate(order):
+                    assert stack.log_marginal[position] == alone[i].log_marginal[0]
+                    assert np.array_equal(stack.coef[position], alone[i].coef[0])
+                    assert np.array_equal(stack.neg_hessian[position], alone[i].neg_hessian[0])
 
     def test_fit_node_gives_the_cache_entry_bit_for_bit(self):
         # few rows, so many tables miss configurations and are padded in the stack
@@ -640,12 +639,12 @@ class TestBatchedFit:
         table = flat_failures.parent_tables(*size_two_keys(4))
         terms = FLAT.terms(3)
         stack = _fit_aggregated(*table, terms)
-        kinds = [fit.failure.partition(" ")[0] for fit in stack.fits]
+        kinds = [message.partition(" ")[0] for message in stack.failure]
         assert kinds.count("weighted") >= 1 and kinds.count("no") == 1 and kinds.count("") >= 2
-        for i, fit in enumerate(stack.fits):
-            [alone] = _fit_aggregated(*stack_rows(table, [i]), terms).fits
-            assert alone.failure == fit.failure
-            assert alone.iterations == fit.iterations
-            assert alone.log_marginal == fit.log_marginal
-            assert np.array_equal(alone.coef, fit.coef)
+        for i, message in enumerate(stack.failure):
+            alone = _fit_aggregated(*stack_rows(table, [i]), terms)
+            assert alone.failure == [message]
+            assert alone.sweeps[0] == stack.sweeps[i]
+            assert alone.log_marginal[0] == stack.log_marginal[i]
+            assert np.array_equal(alone.coef[0], stack.coef[i])
         assert stack.iterations == 200
