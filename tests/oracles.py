@@ -5,9 +5,8 @@ is decided by exact Fourier-Motzkin elimination over rationals, equivalence
 classes by enumerating all DAGs over a skeleton, the best network under a
 score cache by walking every acyclic choice of cached parent sets, marginal
 likelihoods by numerical integration, the unpenalised MLE by a plain
-Newton loop, a penalised fit by the scalar IRLS loop the library ran one
-table at a time before it fitted stacks, and a node's design by one
-explicit row per observation.
+Newton loop, a penalised fit by a scalar IRLS loop over one table with the
+library's rules, and a node's design by one explicit row per observation.
 """
 
 from __future__ import annotations
@@ -470,14 +469,13 @@ def scalar_irls_fit(
     successes: np.ndarray,
     trials: np.ndarray,
     prior: GaussianPrior | StudentTPrior,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> NodeFit:
-    """Posterior-mode IRLS of one aggregated table, with the library's failure rules.
+    """Posterior-mode IRLS of one aggregated table, with the library's rules.
 
-    Step-halving on a drop of more than 1e-12, at most 30 halvings a sweep;
-    the failure is the first of a singular weighted system, no convergence in
-    ``max_iter`` sweeps, and a Laplace value without a Cholesky factor.
+    Convergence when no coefficient moves by 1e-8 in a sweep; step-halving on
+    a drop of more than 1e-12, at most 30 halvings a sweep; the failure is the
+    first of a singular weighted system, no convergence in 200 sweeps, and a
+    Laplace value without a Cholesky factor.
     """
     n_coef = patterns.shape[1]
     centre, log_density, precision, curvature = _scalar_prior_terms(prior, n_coef)
@@ -492,7 +490,7 @@ def scalar_irls_fit(
     converged = False
     failure = ""
     diag = np.arange(n_coef)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 201):
         inv_var = precision(beta)
         p = expit(patterns @ beta)
         w = trials * p * (1.0 - p)
@@ -517,11 +515,11 @@ def scalar_irls_fit(
             halvings += 1
         delta = float(np.abs(candidate - beta).max())
         beta, current = candidate, value
-        if delta < tol:
+        if delta < 1e-8:
             converged = True
             break
     else:
-        failure = f"no convergence in {max_iter} sweeps"
+        failure = "no convergence in 200 sweeps"
 
     p = expit(patterns @ beta)
     neg_hessian = (patterns * (trials * p * (1.0 - p))[:, None]).T @ patterns
