@@ -478,7 +478,11 @@ class ScoreCache:
 
     @classmethod
     def from_csv(cls, text: str) -> "ScoreCache":
-        """Read a cache written by :meth:`to_csv`; a malformed line raises ``ValueError``."""
+        """Read a cache written by :meth:`to_csv`.
+
+        A malformed line, or a parent set under ``max_parents`` with no line,
+        raises ``ValueError``.
+        """
         sizes: dict[str, int] = {}
         prior_label = ""
         rows = []
@@ -542,6 +546,11 @@ class ScoreCache:
                 raise ValueError(f"line {number}: {problem}")
             entries[(node, mask)] = entry
             separations[(node, mask)] = status
+        # a missing set would silently drop out of the search
+        for node in range(n_vars):
+            for mask in parent_masks(n_vars, node, max_parents):
+                if (node, mask) not in entries:
+                    raise ValueError(f"missing entry for node {node}, parent mask {mask}")
         return cls(
             n_vars=n_vars,
             max_parents=max_parents,

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: separation
 is decided by exact Fourier-Motzkin elimination over rationals, equivalence
 classes by enumerating all DAGs over a skeleton, the best network under a
-score cache by walking every acyclic choice of cached parent sets, marginal
-likelihoods by numerical integration, the unpenalised MLE by a plain
-Newton loop, a penalised fit by a scalar IRLS loop over one table with the
-library's rules, and a node's design by one explicit row per observation.
+score cache by walking every acyclic choice of cached parent sets (and, bit
+for bit, by a float-and-mask subset sweep with a pull-form sink DP),
+marginal likelihoods by numerical integration, the unpenalised MLE by a
+plain Newton loop, a penalised fit by a scalar IRLS loop over one table with
+the library's rules, and a node's design by one explicit row per observation.
 """
 
 from __future__ import annotations
@@ -214,6 +215,72 @@ def brute_force_search(cache: ScoreCache) -> SearchResult:
         raise RuntimeError("no acyclic assignment found")
     total = sum(cache.score(j, best_parents[j]) for j in range(n))
     return SearchResult(dag=Dag(n, best_parents), total_score=float(total))
+
+
+def reference_best_parent_sets(cache: ScoreCache) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2^n) best cached score within every candidate mask, and the mask attaining it.
+
+    The float-and-mask subset sweep: a position with no entry holds (-inf,
+    mask 0), and bit by bit each mask takes the better of itself and the mask
+    without that bit, a higher score first, then a lower mask.
+    """
+    n = cache.n_vars
+    size = 1 << n
+    score = np.full((n, size), -np.inf)
+    mask = np.zeros((n, size), dtype=np.int64)
+    for (node, bits), entry in cache.entries.items():
+        score[node, bits] = entry.log_score
+        mask[node, bits] = bits
+    for row_score, row_mask in zip(score, mask):
+        for b in range(n):
+            s = row_score.reshape(-1, 2, 1 << b)
+            m = row_mask.reshape(-1, 2, 1 << b)
+            better = (s[:, 0] > s[:, 1]) | ((s[:, 0] == s[:, 1]) & (m[:, 0] < m[:, 1]))
+            np.copyto(s[:, 1], s[:, 0], where=better)
+            np.copyto(m[:, 1], m[:, 0], where=better)
+    return score, mask
+
+
+def reference_exact_search(cache: ScoreCache) -> SearchResult:
+    """Sink-peeling DP over every subset, pulling each subset from all of its sinks.
+
+    Each layer of subsets of one size tries every node as the sink, lowest
+    first, and keeps a strictly better value, so ties go to the lowest sink
+    and then, through the best-parent table, to the lowest parent mask.
+    """
+    n = cache.n_vars
+    size = 1 << n
+    table_score, table_mask = reference_best_parent_sets(cache)
+    indices = np.arange(size, dtype=np.int64)
+    popcount = np.zeros(size, dtype=np.int64)
+    for b in range(n):
+        popcount += (indices >> b) & 1
+    best = np.full(size, -np.inf)
+    best[0] = 0.0
+    sink = np.full(size, -1, dtype=np.int64)
+    for card in range(1, n + 1):
+        layer = indices[popcount == card]
+        layer_best = best[layer]
+        layer_sink = sink[layer]
+        for j in range(n):
+            rest = layer ^ (1 << j)
+            value = np.where((layer >> j) & 1, best[rest] + table_score[j][rest], -np.inf)
+            better = value > layer_best
+            np.copyto(layer_best, value, where=better)
+            layer_sink[better] = j
+        best[layer] = layer_best
+        sink[layer] = layer_sink
+    parents = [0] * n
+    remaining = size - 1
+    while remaining:
+        j = int(sink[remaining])
+        if j < 0:
+            raise RuntimeError("search table contains no admissible sink; cache incomplete?")
+        rest = remaining ^ (1 << j)
+        parents[j] = int(table_mask[j][rest])
+        remaining = rest
+    total = sum(cache.score(j, parents[j]) for j in range(n))
+    return SearchResult(dag=Dag(n, tuple(parents)), total_score=float(total))
 
 
 # ---------------------------------------------------------------------------

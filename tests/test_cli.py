@@ -127,6 +127,20 @@ class TestErrorHandling:
         assert code == 2
         assert "malformed score cache" in capsys.readouterr().err
 
+    def test_incomplete_score_cache_is_exit_two(self, tmp_path, capsys):
+        # node 1 has no line for its one-parent set {0}
+        bad = tmp_path / "cache.csv"
+        bad.write_text(
+            "# n_vars: 2\n# max_parents: 1\nnode,parent_mask,log_score,converged,separation\n"
+            "0,0,-1.0,true,none\n0,2,-1.0,true,none\n1,0,-1.0,true,none\n"
+        )
+        code = run_cli("search", "--cache", bad, "--out", tmp_path / "dag.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed score cache" in err
+        assert "missing entry for node 1, parent mask 1" in err
+        assert not (tmp_path / "dag.json").exists()
+
     def test_si_prior_requires_truth_file(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("X1,X2\n0,1\n1,0\n")

@@ -427,6 +427,21 @@ class TestScoreCache:
         with pytest.raises(ValueError, match=message):
             ScoreCache.from_csv(text)
 
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            (["1,4"], "missing entry for node 1, parent mask 4"),
+            (["2,1", "0,0"], "missing entry for node 0, parent mask 0"),
+            (["2,0", "2,1", "2,2"], "missing entry for node 2, parent mask 0"),
+        ],
+    )
+    def test_from_csv_rejects_a_missing_parent_set(self, dropped, message):
+        keys = [f"{node},{mask}" for node in range(3) for mask in parent_masks(3, node, 1)]
+        rows = [f"{key},-1.0,true,none" for key in keys if key not in dropped]
+        text = "\n".join(["# n_vars: 3", "# max_parents: 1", CACHE_HEADER, *rows]) + "\n"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScoreCache.from_csv(text)
+
     @pytest.mark.parametrize("comments", [[], ["# n_vars: 3"], ["# max_parents: 1"]])
     def test_from_csv_requires_the_size_comments(self, comments):
         text = "\n".join([*comments, CACHE_HEADER]) + "\n"

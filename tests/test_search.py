@@ -13,7 +13,7 @@ from abn_forge import (
     exact_search,
 )
 from abn_forge.score import parent_masks
-from oracles import brute_force_search
+from oracles import brute_force_search, reference_best_parent_sets, reference_exact_search
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -180,6 +180,66 @@ class TestExactSearch:
         moved = exact_search(shifted)
         assert moved.dag == base.dag
         assert moved.total_score == pytest.approx(base.total_score + 2.5)
+
+
+DRAWS = {
+    "normal": lambda rng: rng.normal(scale=3.0),
+    # integer scores make ties common, for both tie-breaks
+    "ties": lambda rng: rng.integers(-2, 3),
+    "inf": lambda rng: -np.inf if rng.random() < 0.3 else rng.integers(-2, 3),
+}
+
+
+def assert_matches_reference(cache):
+    """The rank-table search gives the float-and-mask reference bit for bit."""
+    table = best_parent_sets(cache)
+    score, mask = reference_best_parent_sets(cache)
+    assert table.score.dtype == score.dtype and table.mask.dtype == mask.dtype
+    np.testing.assert_array_equal(table.score, score)
+    np.testing.assert_array_equal(table.mask, mask)
+    try:
+        expected = reference_exact_search(cache)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="no admissible sink"):
+            exact_search(cache)
+        return
+    result = exact_search(cache)
+    assert result.dag == expected.dag
+    assert result.total_score == expected.total_score
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    @pytest.mark.parametrize("n_vars", range(1, 11))
+    def test_random_caches_under_every_cap(self, n_vars, draw):
+        rng = np.random.default_rng([n_vars, sorted(DRAWS).index(draw)])
+        for cap in range(n_vars):
+            assert_matches_reference(random_cache(n_vars, rng, max_parents=cap, draw=DRAWS[draw]))
+
+    @pytest.mark.parametrize("name", ["cache_wi.csv", "cache_st.csv", "cache_si.csv"])
+    def test_golden_caches(self, name):
+        assert_matches_reference(ScoreCache.from_csv((GOLDEN / name).read_text()))
+
+    def test_full_parent_sets_at_n10_rank_in_two_bytes(self):
+        # 512 parent sets per node do not fit a one-byte rank
+        cache = random_cache(10, np.random.default_rng(9), draw=DRAWS["ties"])
+        assert best_parent_sets(cache).rank.dtype == np.uint16
+        assert_matches_reference(cache)
+
+    def test_node_without_a_finite_score_fails_as_the_reference_does(self):
+        cache = random_cache(4, np.random.default_rng(10))
+        for mask in parent_masks(4, 1, 3):
+            cache.entries[(1, mask)] = CacheEntry(-np.inf, False)
+        with pytest.raises(RuntimeError, match="no admissible sink"):
+            reference_exact_search(cache)
+        assert_matches_reference(cache)
+
+    def test_missing_sets_count_as_unscored(self):
+        # a cache built in code may leave out sets; the search never picks them
+        cache = random_cache(5, np.random.default_rng(11), draw=DRAWS["inf"])
+        for key in [(0, 0), (2, 0b01), (3, 0b10011)]:
+            del cache.entries[key]
+        assert_matches_reference(cache)
 
 
 class TestBruteForceSearch:
