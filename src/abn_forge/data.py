@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import expit
 
 from .graph import MAX_NODES, Dag, _bit_columns, _edge_pairs, topological_order
 
@@ -205,6 +203,8 @@ class Dataset:
         return cls(values)
 
 
+# exp(-eta) is inf below eta = -709, and the probability 0
+@np.errstate(over="ignore")
 def sample(params: AbnParams, n_obs: int, rng: np.random.Generator) -> Dataset:
     """Forward-sample ``n_obs`` rows from the network.
 
@@ -219,7 +219,7 @@ def sample(params: AbnParams, n_obs: int, rng: np.random.Generator) -> Dataset:
         eta = np.full(n_obs, params.intercepts[node])
         for parent in params.dag.parent_list(node):
             eta = eta + params.edge_coef[(parent, node)] * values[:, parent]
-        values[:, node] = rng.random(n_obs) < expit(eta)
+        values[:, node] = rng.random(n_obs) < 1.0 / (1.0 + np.exp(-eta))
     return Dataset(values)
 
 
@@ -324,6 +324,8 @@ def _null_space(rows: np.ndarray) -> np.ndarray:
 
 def _strict_margin(signed: np.ndarray) -> float:
     """Optimum of: max t  s.t.  U b >= t, -1 <= b <= 1, t <= 1.  Positive iff strictly separable."""
+    from scipy.optimize import linprog  # scipy loads on the first classification, not on import
+
     signed = np.unique(signed, axis=0)
     n_rows, d = signed.shape
     res = linprog(
@@ -340,6 +342,8 @@ def _strict_margin(signed: np.ndarray) -> float:
 
 def _weak_slack(signed: np.ndarray) -> float:
     """Optimum of: max 1'U b  s.t.  U b >= 0, -1 <= b <= 1.  Positive iff weakly separable with slack."""
+    from scipy.optimize import linprog
+
     signed = np.unique(signed, axis=0)
     if signed.shape[1] == 0:
         return 0.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from abn_forge import (
     aggregate_design,
     sample,
     separation_of_design,
+    topological_order,
 )
 from abn_forge.data import separation_of_patterns
 from oracles import explicit_design, fm_separation
@@ -78,6 +81,24 @@ class TestSample:
         x = data.values
         on = x[(x[:, 0] == 1) & (x[:, 1] == 0)][:, 2].mean()
         assert abs(on - expit(5.0)) < 0.02
+
+    def test_saturated_logits_sample_without_warnings(self):
+        # eta = -1000 overflows exp(-eta) to inf: the probability is 0, as expit gives
+        dag = Dag.from_edges(3, [(0, 1), (0, 2)])
+        params = AbnParams(dag, (0.0, 0.0, 0.0), {(0, 1): 1000.0, (0, 2): -1000.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = sample(params, 200, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expected = np.zeros((200, 3), dtype=np.uint8)
+        for node in topological_order(dag):
+            eta = params.intercepts[node] + sum(
+                params.edge_coef[(parent, node)] * expected[:, parent] for parent in dag.parent_list(node)
+            )
+            expected[:, node] = rng.random(200) < expit(eta)
+        assert np.array_equal(data.values, expected)
+        on = data.values[:, 0] == 1
+        assert on.any() and data.values[on, 1].all() and not data.values[on, 2].any()
 
     def test_same_stream_same_data(self, collider_params):
         a = sample(collider_params, 500, np.random.default_rng(9))

@@ -1,9 +1,11 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import expit
 
 from abn_forge import (
@@ -31,9 +33,11 @@ from oracles import (
     explicit_design,
     gauss_hermite_log_marginal,
     newton_mle,
+    norm_logpdf,
     quad_log_marginal,
     ref_log_posterior,
     scalar_irls_fit,
+    t_logpdf,
 )
 from test_golden import TRUTH as GOLDEN_TRUTH
 from test_golden import _cache as golden_cache
@@ -239,6 +243,21 @@ class TestFitNode:
         fit = fit_node(X, y, GaussianPrior())
         np.linalg.cholesky(fit.neg_hessian)
         assert np.allclose(fit.neg_hessian, fit.neg_hessian.T)
+
+    def test_linear_predictor_beyond_709_fits_without_warnings(self):
+        # the prior holds the intercept near -1000, so eta = -998 on the x = 0
+        # rows, where exp(-eta) overflows to inf and the fitted probability is 0
+        X = np.column_stack([np.ones(12), np.repeat([0.0, 1.0], 6)])
+        y = np.array([0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1], dtype=float)
+        prior = GaussianPrior(mean=np.array([-1000.0, 0.0]), variance=np.array([1.0, 1000.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_node(X, y, prior)
+        assert (X @ fit.coef).min() < -709.0
+        ref = scalar_irls_fit(*aggregate_design(X, y), prior)
+        assert fit.converged and ref.converged and fit.iterations == ref.iterations == 12
+        assert np.abs(fit.coef - ref.coef).max() <= 1e-9
+        assert abs(fit.log_marginal - ref.log_marginal) <= 1e-9
 
     def test_rejects_design_without_intercept(self):
         X = np.zeros((5, 2))
@@ -540,6 +559,17 @@ class TestSeparationOnDemand:
 
 
 class TestCacheAgainstQuadrature:
+    def test_oracle_closed_form_densities_match_scipy_stats(self):
+        x = np.linspace(-60.0, 60.0, 241)[:, None]
+        for sd in (0.3, 1.0, np.sqrt(1000.0)):
+            for mean in (-2.0, 0.0, 5.0):
+                expected = stats.norm.logpdf(x, loc=mean, scale=sd)
+                assert np.allclose(norm_logpdf(x, mean, sd), expected, rtol=1e-12, atol=1e-12)
+        scales = np.array([0.5, 2.5, 10.0])
+        for df in (1.0, 3.0, 7.5, 30.0):
+            expected = stats.t.logpdf(x, df=df, loc=0.0, scale=scales)
+            assert np.allclose(t_logpdf(x, df, scales), expected, rtol=1e-12, atol=1e-12)
+
     def test_argmax_parent_sets_match_quadrature_oracle(self):
         prior = StudentTPrior()
         hits = 0
