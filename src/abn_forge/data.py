@@ -203,8 +203,18 @@ class Dataset:
         return cls(values)
 
 
-# exp(-eta) is inf below eta = -709, and the probability 0
-@np.errstate(over="ignore")
+def _expit(eta: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-eta)), with the C library's exp on every CPU.
+
+    numpy's float64 exp runs a SIMD kernel on AVX-512 CPUs whose last bits differ from the C
+    library's exp, so fits and samples would depend on the host.  numpy's complex exp has no
+    such kernel, and its real part at ``x + 0j`` is the C library's ``exp(x)``.  Below
+    eta = -709 exp(-eta) overflows to inf and the probability is 0: callers silence overflow.
+    """
+    return 1.0 / (1.0 + np.exp(np.asarray(-eta, dtype=np.complex128)).real)
+
+
+@np.errstate(over="ignore")  # see _expit
 def sample(params: AbnParams, n_obs: int, rng: np.random.Generator) -> Dataset:
     """Forward-sample ``n_obs`` rows from the network.
 
@@ -219,7 +229,7 @@ def sample(params: AbnParams, n_obs: int, rng: np.random.Generator) -> Dataset:
         eta = np.full(n_obs, params.intercepts[node])
         for parent in params.dag.parent_list(node):
             eta = eta + params.edge_coef[(parent, node)] * values[:, parent]
-        values[:, node] = rng.random(n_obs) < 1.0 / (1.0 + np.exp(-eta))
+        values[:, node] = rng.random(n_obs) < _expit(eta)
     return Dataset(values)
 
 

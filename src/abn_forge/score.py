@@ -30,6 +30,7 @@ set of one size: a cache fits them as stacked Newton problems (see :func:`_fit_a
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .data import (
     AbnParams,
     Dataset,
     SeparationStatus,
+    _expit,
     aggregate_design,
     separation_of_patterns,
 )
@@ -56,15 +58,13 @@ MAX_ITER = 200
 class PriorTerms(NamedTuple):
     """A coefficient prior for a stack of fits: rows of normal means and variances, one per fit or shared.
 
-    With ``df`` set the rows are Student t locations and scales, and ``log_norm`` is the log of the t
-    density's normalising constant at unit scale.  ``precision`` is the IRLS working precision (for
-    the t, the EM step's); ``curvature`` is minus the log density's Hessian diagonal.
+    With ``df`` set the rows are Student t locations and scales.  ``precision`` is the IRLS working
+    precision (for the t, the EM step's); ``curvature`` is minus the log density's Hessian diagonal.
     """
 
     centre: np.ndarray
     spread: np.ndarray
     df: float | None = None
-    log_norm: float = 0.0
 
     def take(self, rows: np.ndarray) -> PriorTerms:
         return self._replace(centre=_per_fit(self.centre, rows), spread=_per_fit(self.spread, rows))
@@ -76,7 +76,7 @@ class PriorTerms(NamedTuple):
             return -0.5 * _ordered_sum(np.where(np.isfinite(v), np.log(2.0 * np.pi * v) + u * u / v, 0.0), -1)
         df, scale = self.df, self.spread
         z = u / scale
-        return _ordered_sum(self.log_norm - np.log(scale) - (df + 1.0) / 2.0 * np.log1p(z * z / df), -1)
+        return _ordered_sum(_t_log_norm(df) - np.log(scale) - (df + 1.0) / 2.0 * np.log1p(z * z / df), -1)
 
     def precision(self, coef: np.ndarray) -> np.ndarray:
         if self.df is None:
@@ -90,6 +90,12 @@ class PriorTerms(NamedTuple):
         u = coef - self.centre
         a = self.df * self.spread * self.spread
         return (self.df + 1.0) * (a - u * u) / (a + u * u) ** 2
+
+
+@functools.cache
+def _t_log_norm(df: float) -> float:
+    """The log of the Student t density's normalising constant at unit scale."""
+    return math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0) - 0.5 * math.log(df * math.pi)
 
 
 class _PositionFree:
@@ -164,9 +170,7 @@ class StudentTPrior(_PositionFree):
 
     def terms(self, n_coef: int) -> PriorTerms:
         loc, scales = self.resolve(n_coef)
-        df = float(self.df)
-        log_norm = math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0) - 0.5 * math.log(df * math.pi)
-        return PriorTerms(loc[None], scales[None], df, log_norm)
+        return PriorTerms(loc[None], scales[None], float(self.df))
 
     def describe(self) -> str:
         return (
@@ -330,7 +334,7 @@ class _Stack(NamedTuple):
 
     def neg_hessian(self, coef: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minus the log likelihood's Hessian plus ``prior_diag`` on the diagonal, and the fitted probabilities."""
-        p = 1.0 / (1.0 + np.exp(-_ordered_sum(self.patterns * coef[:, None, :], 2)))
+        p = _expit(_ordered_sum(self.patterns * coef[:, None, :], 2))
         packed = _ordered_sum(self.pairs * (self.trials * p * (1.0 - p))[..., None], 1)
         d = coef.shape[1]
         i, j = np.triu_indices(d)
@@ -340,8 +344,7 @@ class _Stack(NamedTuple):
         return hess, p
 
 
-# exp(-eta) in neg_hessian is inf below eta = -709, and the fitted probability 0
-@np.errstate(over="ignore")
+@np.errstate(over="ignore")  # see _expit
 def _fit_aggregated(
     patterns: np.ndarray,
     successes: np.ndarray,

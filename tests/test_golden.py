@@ -5,11 +5,16 @@ seeded run: the results CSV of a separation study (wi, st) and of a lindley
 study (wi, st, si), and the score-cache CSV of one fixed dataset under each
 of the three priors.  The dataset is small enough that some candidate fits
 are separated and some ``st`` entries are scored -inf, so failed fits are
-pinned too.  A refactor must reproduce every file exactly.  A change
-meant to move results regenerates them with ``python tests/test_golden.py``
-and shows the old and new numbers.
+pinned too.  A refactor must reproduce every file exactly, on every CPU:
+numpy picks SIMD kernels by CPU, so the files are also checked with the
+kernels this CPU would get turned off.  A change meant to move results
+regenerates them with ``python tests/test_golden.py`` and shows the old and
+new numbers.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +24,7 @@ from abn_forge import AbnParams, Dag, ScoreCache, build_score_cache, prior_from_
 from abn_forge.experiments import StudyConfig, results_to_csv, run_study
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SEPARATION = StudyConfig(
     study="separation",
@@ -66,6 +72,45 @@ CASES = {
 def test_output_matches_golden_file(name):
     expected = (GOLDEN / name).read_text()
     assert CASES[name]() == expected
+
+
+def active_simd_features() -> list[str]:
+    """The SIMD extensions numpy dispatches to on this CPU, above the baseline it was built for.
+
+    Naming them in ``NPY_DISABLE_CPU_FEATURES`` before numpy is imported turns their kernels off.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+SIMD_OFF_SCRIPT = """
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+import test_golden
+
+assert not test_golden.active_simd_features(), test_golden.active_simd_features()
+differ = [name for name, render in test_golden.CASES.items() if render() != (test_golden.GOLDEN / name).read_text()]
+print(",".join(differ))
+"""
+
+
+def test_output_matches_golden_files_with_numpy_simd_kernels_off():
+    # numpy's AVX-512 float64 exp, for one, differs from the C library's in the last bit
+    features = active_simd_features()
+    disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *features])
+    proc = subprocess.run(
+        [sys.executable, "-c", SIMD_OFF_SCRIPT, str(Path(__file__).resolve().parent), str(SRC)],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"differ with {features} off: {proc.stdout.strip()}"
 
 
 def test_st_failures_are_converged_fits_without_a_laplace_value():
