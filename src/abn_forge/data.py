@@ -226,10 +226,23 @@ def sample(params: AbnParams, n_obs: int, rng: np.random.Generator) -> Dataset:
     n = params.n
     values = np.zeros((n_obs, n), dtype=np.uint8)
     for node in topological_order(params.dag):
-        eta = np.full(n_obs, params.intercepts[node])
-        for parent in params.dag.parent_list(node):
-            eta = eta + params.edge_coef[(parent, node)] * values[:, parent]
-        values[:, node] = rng.random(n_obs) < _expit(eta)
+        parents = params.dag.parent_list(node)
+        coefs = [params.edge_coef[(parent, node)] for parent in parents]
+        if 1 << len(parents) <= n_obs:
+            # the logit of each parent configuration (bit j = parent j), then each row's: the
+            # logistic runs 2^k times, not n_obs times, on the same sums as below
+            eta = np.full(1, params.intercepts[node])
+            config = np.zeros(n_obs, dtype=np.intp)
+            for j, (parent, coef) in enumerate(zip(parents, coefs)):
+                eta = np.concatenate([eta, eta + coef])
+                config |= values[:, parent].astype(np.intp) << j
+            p = _expit(eta)[config]
+        else:
+            eta = np.full(n_obs, params.intercepts[node])
+            for parent, coef in zip(parents, coefs):
+                eta = eta + coef * values[:, parent]
+            p = _expit(eta)
+        values[:, node] = rng.random(n_obs) < p
     return Dataset(values)
 
 

@@ -51,6 +51,17 @@ class TestAbnParams:
         assert AbnParams.from_json(collider_params.to_json()) == collider_params
 
 
+def _sample_row_by_row(params, n_obs, rng):
+    """``sample``'s draws from each row's own logit, summed over the parents in order, and scipy's expit."""
+    values = np.zeros((n_obs, params.n), dtype=np.uint8)
+    for node in topological_order(params.dag):
+        eta = np.full(n_obs, params.intercepts[node])
+        for parent in params.dag.parent_list(node):
+            eta = eta + params.edge_coef[(parent, node)] * values[:, parent]
+        values[:, node] = rng.random(n_obs) < expit(eta)
+    return values
+
+
 class TestSample:
     def test_all_zero_coefficients_give_half(self):
         dag = Dag(n=3, parents=(0, 0, 0))
@@ -89,16 +100,17 @@ class TestSample:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             data = sample(params, 200, np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        expected = np.zeros((200, 3), dtype=np.uint8)
-        for node in topological_order(dag):
-            eta = params.intercepts[node] + sum(
-                params.edge_coef[(parent, node)] * expected[:, parent] for parent in dag.parent_list(node)
-            )
-            expected[:, node] = rng.random(200) < expit(eta)
-        assert np.array_equal(data.values, expected)
+        assert np.array_equal(data.values, _sample_row_by_row(params, 200, np.random.default_rng(5)))
         on = data.values[:, 0] == 1
         assert on.any() and data.values[on, 1].all() and not data.values[on, 2].any()
+
+    @pytest.mark.parametrize("n_obs", [20, 300])  # fewer and more rows than node 5's 2^5 parent configurations
+    def test_draws_match_a_row_by_row_logistic(self, n_obs):
+        dag = Dag.from_edges(6, [(0, 1), *((parent, 5) for parent in range(5))])
+        coefs = {(0, 1): 2.0, (0, 5): 3.5, (1, 5): -2.25, (2, 5): 3.0, (3, 5): -4.0, (4, 5): 2.75}
+        params = AbnParams(dag, (0.3, -0.7, 0.1, 0.0, 0.4, -1.1), coefs)
+        data = sample(params, n_obs, np.random.default_rng(11))
+        assert np.array_equal(data.values, _sample_row_by_row(params, n_obs, np.random.default_rng(11)))
 
     def test_same_stream_same_data(self, collider_params):
         a = sample(collider_params, 500, np.random.default_rng(9))
