@@ -189,6 +189,8 @@ def _cmd_study(args) -> None:
         f"wrote {out}: {len(rows)} rows ({config.study}, seed {config.master_seed}, "
         f"{failures} failed cells); timings in {timings_path}, artifacts in {runs_dir}"
     )
+    if failures:
+        raise CliError(1, f"{failures} failed cells; their rows in {out} carry an 'error: ...' note")
 
 
 def _cmd_summarize(args) -> None:

@@ -24,7 +24,8 @@ The node score is the Laplace approximation at the mode
 with H the negative Hessian of the log posterior.  Duplicate design rows are
 aggregated into (pattern, successes, trials) counts first; the posterior is
 unchanged and binary designs collapse to at most 2^parents patterns, shared by every parent
-set of one size: a cache fits them as stacked Newton problems (see :func:`_fit_aggregated`).
+set of one size.  A cache fits the parent sets of all sizes as stacked Newton problems, each
+table padded to the widest of its stack (see :func:`_fit_aggregated` and :func:`_stack`).
 """
 
 from __future__ import annotations
@@ -70,13 +71,15 @@ class PriorTerms(NamedTuple):
         return self._replace(centre=_per_fit(self.centre, rows), spread=_per_fit(self.spread, rows))
 
     def log_density(self, coef: np.ndarray) -> np.ndarray:
+        """The log prior of each row; a coefficient of infinite spread adds nothing."""
         u = coef - self.centre
         if self.df is None:
             v = self.spread
             return -0.5 * _ordered_sum(np.where(np.isfinite(v), np.log(2.0 * np.pi * v) + u * u / v, 0.0), -1)
         df, scale = self.df, self.spread
         z = u / scale
-        return _ordered_sum(_t_log_norm(df) - np.log(scale) - (df + 1.0) / 2.0 * np.log1p(z * z / df), -1)
+        terms = _t_log_norm(df) - np.log(scale) - (df + 1.0) / 2.0 * np.log1p(z * z / df)
+        return _ordered_sum(np.where(np.isfinite(scale), terms, 0.0), -1)
 
     def precision(self, coef: np.ndarray) -> np.ndarray:
         if self.df is None:
@@ -84,12 +87,13 @@ class PriorTerms(NamedTuple):
         u = coef - self.centre
         return 1.0 / ((self.df * self.spread * self.spread + u * u) / (self.df + 1.0))
 
+    @np.errstate(invalid="ignore")  # inf / inf at an infinite spread, masked to 0
     def curvature(self, coef: np.ndarray) -> np.ndarray:
         if self.df is None:
             return 1.0 / self.spread
         u = coef - self.centre
         a = self.df * self.spread * self.spread
-        return (self.df + 1.0) * (a - u * u) / (a + u * u) ** 2
+        return np.where(np.isfinite(a), (self.df + 1.0) * (a - u * u) / (a + u * u) ** 2, 0.0)
 
 
 @functools.cache
@@ -313,6 +317,20 @@ def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
     return NodeFit(stack.coef[0], stack.neg_hessian[0], *(a[0].item() for a in stack[2:6]), stack.failure[0])
 
 
+@functools.cache
+def _indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row and column indices of a d x d matrix's upper triangle, row by row, and of its diagonal."""
+    return *np.triu_indices(d), np.arange(d)
+
+
+def _by_width(widths: np.ndarray) -> list[tuple[int, slice]]:
+    """The runs of equal width in a stack's rows: one per width when the widths ascend."""
+    if not len(widths):
+        return []
+    cuts = (np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()
+    return [(int(widths[lo]), slice(lo, hi)) for lo, hi in zip([0, *cuts], [*cuts, len(widths)])]
+
+
 class _Stack(NamedTuple):
     """The fits of :func:`_fit_aggregated` still running; ``pairs`` holds each product of two pattern columns."""
 
@@ -320,27 +338,29 @@ class _Stack(NamedTuple):
     pairs: np.ndarray
     successes: np.ndarray
     trials: np.ndarray
+    widths: np.ndarray
     prior: PriorTerms
 
     def take(self, rows: np.ndarray) -> _Stack:
         if len(rows) == len(self.trials):  # rows are ascending and distinct: all of them
             return self
-        return _Stack(*(_per_fit(a, rows) for a in self[:4]), self.prior.take(rows))
+        return _Stack(*(_per_fit(a, rows) for a in self[:4]), self.widths[rows], self.prior.take(rows))
 
-    def log_post(self, coef: np.ndarray) -> np.ndarray:
+    def log_post(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The log posterior at ``coef``, and the linear predictor of each table row there."""
         eta, s, t = _ordered_sum(self.patterns * coef[:, None, :], 2), self.successes, self.trials
         loglik = _ordered_sum(s * -np.logaddexp(0.0, -eta) + (t - s) * -np.logaddexp(0.0, eta), 1)
-        return loglik + self.prior.log_density(coef)
+        return loglik + self.prior.log_density(coef), eta
 
-    def neg_hessian(self, coef: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def neg_hessian(self, eta: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minus the log likelihood's Hessian plus ``prior_diag`` on the diagonal, and the fitted probabilities."""
-        p = _expit(_ordered_sum(self.patterns * coef[:, None, :], 2))
+        p = _expit(eta)
         packed = _ordered_sum(self.pairs * (self.trials * p * (1.0 - p))[..., None], 1)
-        d = coef.shape[1]
-        i, j = np.triu_indices(d)
-        hess = np.empty((len(coef), d, d))
+        d = self.patterns.shape[-1]
+        i, j, k = _indices(d)
+        hess = np.empty((len(eta), d, d))
         hess[:, i, j] = hess[:, j, i] = packed
-        hess[:, np.arange(d), np.arange(d)] += prior_diag
+        hess[:, k, k] += prior_diag
         return hess, p
 
 
@@ -350,19 +370,24 @@ def _fit_aggregated(
     successes: np.ndarray,
     trials: np.ndarray,
     terms: PriorTerms,
+    widths: np.ndarray | None = None,
 ) -> FitStack:
     """Posterior-mode IRLS of a stack of tables; row i of ``successes`` and ``trials`` is fit i.
 
-    ``patterns`` is (B, P, d), or (1, P, d) shared by every fit, and so are the rows of ``terms``.
-    Each fit steps, halves its step, converges (no coefficient moved by ``TOL`` in a sweep) or
-    fails on its own; every sum over table rows runs in row order, so a score owes no bit to its
-    stack or to zero-trial rows.
+    ``patterns`` is (B, P, W), or (1, P, W) shared by every fit, and so are the rows of ``terms``.
+    Fit i has ``widths[i]`` coefficients (all W by default); a narrower table is padded with zero
+    pattern columns whose coefficients sit at centre 0 with infinite spread, and every linear solve
+    and Cholesky factor works on a fit's own leading block.  Each fit steps, halves its step,
+    converges (no coefficient moved by ``TOL`` in a sweep) or fails on its own; every sum over
+    table rows or coefficients runs in index order, so a score owes no bit to its stack, to
+    zero-trial rows or to padded columns.
     """
-    n_fits = trials.shape[0]
-    upper = np.triu_indices(patterns.shape[-1])
-    stack = _Stack(patterns, patterns[..., upper[0]] * patterns[..., upper[1]], successes, trials, terms)
-    beta = np.broadcast_to(terms.centre, (n_fits, patterns.shape[-1])).copy()
-    current = stack.log_post(beta)
+    n_fits, width = trials.shape[0], patterns.shape[-1]
+    widths = np.full(n_fits, width) if widths is None else np.asarray(widths)
+    row, col, _ = _indices(width)
+    stack = _Stack(patterns, patterns[..., row] * patterns[..., col], successes, trials, widths, terms)
+    beta = np.broadcast_to(terms.centre, (n_fits, width)).copy()
+    current, eta = stack.log_post(beta)
     converged = np.zeros(n_fits, dtype=bool)
     sweeps = np.zeros(n_fits, dtype=np.int64)
     failure = [""] * n_fits
@@ -373,34 +398,37 @@ def _fit_aggregated(
         sweeps[active] = sweep
         coef = beta[active]
         inv_var = run.prior.precision(coef)
-        hess, p = run.neg_hessian(coef, inv_var)
+        hess, p = run.neg_hessian(eta[active], inv_var)
         grad = _ordered_sum(run.patterns * (run.successes - run.trials * p)[..., None], 1)
         grad -= (coef - run.prior.centre) * inv_var
-        step, singular = _each(np.linalg.solve, hess, grad[..., None])
+        step, singular = np.zeros_like(grad), np.zeros(len(active), dtype=bool)
+        for w, rows in _by_width(run.widths):
+            solved, singular[rows] = _each(np.linalg.solve, hess[rows, :w, :w], grad[rows, :w, None])
+            step[rows, :w] = solved[..., 0]
         for i in active[singular]:
             failure[i] = f"weighted system singular at sweep {sweep} (flat prior on a separated design?)"
         ok = np.flatnonzero(~singular)
-        active, coef, step, run = active[ok], coef[ok], step[ok, :, 0], run.take(ok)
+        active, coef, step, run = active[ok], coef[ok], step[ok], run.take(ok)
         before, candidate = current[active], coef + step
-        value = run.log_post(candidate)
+        value, moved = run.log_post(candidate)
         for _ in range(30):
             worse = np.flatnonzero(value < before - 1e-12)
             if not len(worse):
                 break
             step[worse] = step[worse] / 2.0
             candidate[worse] = coef[worse] + step[worse]
-            value[worse] = run.take(worse).log_post(candidate[worse])
-        beta[active], current[active] = candidate, value
+            value[worse], moved[worse] = run.take(worse).log_post(candidate[worse])
+        beta[active], current[active], eta[active] = candidate, value, moved
         done = np.abs(candidate - coef).max(axis=1, initial=0.0) < TOL
         converged[active[done]] = True
         active, run = active[~done], run.take(np.flatnonzero(~done))
     for i in active:
         failure[i] = f"no convergence in {MAX_ITER} sweeps"
 
-    neg_hessian, _ = stack.neg_hessian(beta, terms.curvature(beta))
+    neg_hessian, _ = stack.neg_hessian(eta, terms.curvature(beta))
     unfailed = np.array([not message for message in failure])
     scored = np.flatnonzero(unfailed & (trials.sum(axis=1) > 0))
-    value = _laplace_value(current[scored], neg_hessian[scored])
+    value = _laplace_value(current[scored], neg_hessian[scored], widths[scored])
     log_marginal = np.where(unfailed, 0.0, -np.inf)  # 0 is the score of an empty table
     log_marginal[scored] = np.where(np.isfinite(value), value, -np.inf)
     for i in scored[~np.isfinite(value)]:
@@ -408,12 +436,20 @@ def _fit_aggregated(
     return FitStack(beta, neg_hessian, current, log_marginal, converged, sweeps, failure, int(sweeps.max(initial=0)))
 
 
-def _laplace_value(log_posterior_at_mode: np.ndarray, neg_hessian: np.ndarray) -> np.ndarray:
-    """The Laplace log marginals of a stack of modes; nan where the negative Hessian has no Cholesky factor."""
-    n_coef = neg_hessian.shape[-1]
-    chol, _ = _each(np.linalg.cholesky, neg_hessian)
-    log_det = 2.0 * _ordered_sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), 1)
-    return log_posterior_at_mode + 0.5 * n_coef * LOG_2PI - 0.5 * log_det
+def _laplace_value(
+    log_posterior_at_mode: np.ndarray, neg_hessian: np.ndarray, widths: np.ndarray | None = None
+) -> np.ndarray:
+    """The Laplace log marginals of a stack of modes; nan where the negative Hessian has no Cholesky factor.
+
+    Fit i's negative Hessian is the leading ``widths[i]`` block of ``neg_hessian[i]`` (all of it by default).
+    """
+    if widths is None:
+        widths = np.full(len(neg_hessian), neg_hessian.shape[-1])
+    log_det = np.empty(len(widths))
+    for w, rows in _by_width(widths):
+        chol, _ = _each(np.linalg.cholesky, neg_hessian[rows, :w, :w])
+        log_det[rows] = 2.0 * _ordered_sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), 1)
+    return log_posterior_at_mode + 0.5 * widths * LOG_2PI - 0.5 * log_det
 
 
 @dataclass(frozen=True)
@@ -580,17 +616,80 @@ def parent_masks(n_vars: int, node: int, max_parents: int) -> list[int]:
     return masks
 
 
+class _Distinct(NamedTuple):
+    """The distinct (table, prior row) fits of one parent-set size, numbered from ``start`` in a cache."""
+
+    start: int
+    patterns: np.ndarray
+    successes: np.ndarray
+    trials: np.ndarray
+    terms: PriorTerms
+
+
+def _chunks(groups: list[_Distinct]) -> list[tuple[int, int]]:
+    """Cut the distinct fits of every size, ascending, into stacks: ``[lo, hi)`` ranges of their numbers.
+
+    A stack takes whole sizes while its fits times the table rows and upper-triangle entries of
+    its widest size stay within ``_CHUNK``.  A size that does not fit is cut into stacks of its
+    own, the last of which stays open to the next sizes; one fit over the bound is a stack alone.
+    """
+    cuts, count, rows = {0}, 0, 0  # the fits and the most table rows of the open stack
+    for group in groups:
+        n_fits, group_rows = group.successes.shape
+        width = group.patterns.shape[-1]
+        entries, rows = width * (width + 1) // 2, max(rows, group_rows)
+        if (count + n_fits) * rows * entries <= _CHUNK:
+            count += n_fits
+            continue
+        step = max(1, _CHUNK // max(1, group_rows * entries))
+        cuts.update(range(group.start, group.start + n_fits, step))
+        count, rows = (n_fits - 1) % step + 1, group_rows
+    bounds = sorted(cuts | {groups[-1].start + len(groups[-1].successes)})
+    return list(zip(bounds, bounds[1:]))
+
+
+def _stack(groups: list[_Distinct], lo: int, hi: int) -> tuple:
+    """The arguments of :func:`_fit_aggregated` for distinct fits ``lo`` to ``hi - 1``, padded to the widest.
+
+    A narrower table gets zero pattern columns and zero-trial rows; its extra coefficients sit at
+    centre 0 with infinite spread, the unpenalised convention, so they add nothing to any sum.
+    """
+    pieces = []  # (size, the slice of its fits in the stack, their rows in the stack)
+    for group in groups:
+        first, last = max(lo, group.start), min(hi, group.start + len(group.successes))
+        if first < last:
+            pieces.append((group, slice(first - group.start, last - group.start), slice(first - lo, last - lo)))
+    if len(pieces) == 1:  # one size: its patterns may stay shared
+        group, rows, _ = pieces[0]
+        return _per_fit(group.patterns, rows), group.successes[rows], group.trials[rows], group.terms.take(rows)
+    n_rows = max(group.successes.shape[1] for group, *_ in pieces)
+    width = max(group.patterns.shape[-1] for group, *_ in pieces)
+    patterns = np.zeros((hi - lo, n_rows, width))
+    successes, trials = np.zeros((hi - lo, n_rows)), np.zeros((hi - lo, n_rows))
+    centre, spread = np.zeros((hi - lo, width)), np.full((hi - lo, width), np.inf)
+    widths = np.empty(hi - lo, dtype=np.int64)
+    for group, rows, fits in pieces:
+        p, w = group.patterns.shape[1:]
+        patterns[fits, :p, :w] = _per_fit(group.patterns, rows)
+        successes[fits, :p], trials[fits, :p] = group.successes[rows], group.trials[rows]
+        terms = group.terms.take(rows)
+        centre[fits, :w], spread[fits, :w], widths[fits] = terms.centre, terms.spread, w
+    return patterns, successes, trials, PriorTerms(centre, spread, groups[0].terms.df), widths
+
+
 def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = None) -> ScoreCache:
     """Score every candidate parent set of every node.
 
     Scores are Laplace log marginal likelihoods; a fit that fails enters the
     cache as -inf with its ``NodeFit.failure`` as a diagnostic, so downstream
-    search simply never picks it.  The parent sets of one size are fit as
-    stacks of at most about ``_CHUNK`` working elements, each distinct
-    (table, prior row) once; a score depends on its table and prior alone,
-    so the cache is a pure function of the data multiset.  No table is classified for
-    separation here; the cache keeps ``data`` so that
-    :meth:`ScoreCache.separation` can do it on request.
+    search simply never picks it.  Each distinct (table, prior row) of one
+    parent-set size is fit once, and the distinct fits of all sizes, in
+    ascending size, share stacks of at most about ``_CHUNK`` padded working
+    elements, so a cache runs about as many sweeps as its slowest fit.  A
+    score depends on its table and prior alone, so the cache is a pure
+    function of the data multiset.  No table is classified for separation
+    here; the cache keeps ``data`` so that :meth:`ScoreCache.separation` can
+    do it on request.
     """
     n = data.n_vars
     if n < 1:
@@ -605,8 +704,8 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     keys = [(node, mask) for node in range(n) for mask in parent_masks(n, node, max_parents)]
     nodes, masks = np.array(keys, dtype=np.int64).T
     sizes = np.array([mask.bit_count() for _, mask in keys])
-    log_score, converged = np.empty(len(keys)), np.empty(len(keys), dtype=bool)
-    failure = np.empty(len(keys), dtype=object)
+    groups: list[_Distinct] = []
+    distinct, start = np.empty(len(keys), dtype=np.int64), 0  # the number of each key's distinct fit
     for size in range(max_parents + 1):
         at = np.flatnonzero(sizes == size)
         patterns, successes, trials = data.parent_tables(nodes[at], masks[at])
@@ -616,15 +715,13 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
         if len(patterns) > 1:
             columns.append(patterns.reshape(len(at), -1))
         _, first, inverse = np.unique(np.hstack(columns), axis=0, return_index=True, return_inverse=True)
-        step = max(1, _CHUNK // max(1, successes.shape[1] * (size + 1) * (size + 2) // 2))
-        fits = [
-            _fit_aggregated(_per_fit(patterns, rows), successes[rows], trials[rows], terms.take(rows))
-            for rows in (first[lo : lo + step] for lo in range(0, len(first), step))
-        ]
-        inverse = inverse.reshape(-1)
-        log_score[at] = np.concatenate([fit.log_marginal for fit in fits])[inverse]
-        converged[at] = np.concatenate([fit.converged for fit in fits])[inverse]
-        failure[at] = np.concatenate([fit.failure for fit in fits])[inverse]
+        distinct[at] = start + inverse.reshape(-1)
+        groups.append(_Distinct(start, _per_fit(patterns, first), successes[first], trials[first], terms.take(first)))
+        start += len(first)
+    fits = [_fit_aggregated(*_stack(groups, lo, hi)) for lo, hi in _chunks(groups)]
+    log_score = np.concatenate([fit.log_marginal for fit in fits])[distinct]
+    converged = np.concatenate([fit.converged for fit in fits])[distinct]
+    failure = np.concatenate([fit.failure for fit in fits])[distinct]
 
     entries = {key: CacheEntry(float(log_score[i]), bool(converged[i])) for i, key in enumerate(keys)}
     diagnostics = [(node, mask, str(failure[i])) for i, (node, mask) in enumerate(keys) if failure[i]]

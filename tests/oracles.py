@@ -323,6 +323,27 @@ def ref_log_posterior(
     return loglik + logprior
 
 
+def ref_log_posterior_grad(
+    beta: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    prior_spec: dict,
+    trials: np.ndarray | None = None,
+) -> np.ndarray:
+    """The gradient of :func:`ref_log_posterior` in closed form."""
+    n = np.ones(len(y)) if trials is None else np.asarray(trials, dtype=float)
+    grad = X.T @ (y - n * expit(X @ beta))
+    kind = prior_spec["kind"]
+    if kind == "gaussian":
+        mean = np.broadcast_to(np.asarray(prior_spec["mean"], dtype=float), beta.shape)
+        variance = np.broadcast_to(np.asarray(prior_spec["variance"], dtype=float), beta.shape)
+        return grad - (beta - mean) / variance
+    if kind == "student":
+        df, scales = prior_spec["df"], np.asarray(prior_spec["scales"], dtype=float)
+        return grad - (df + 1.0) * beta / (df * scales * scales + beta * beta)
+    raise ValueError(kind)
+
+
 def _ref_mode(
     X: np.ndarray, y: np.ndarray, prior_spec: dict, trials: np.ndarray | None = None
 ) -> np.ndarray:
@@ -331,6 +352,7 @@ def _ref_mode(
         lambda b: -ref_log_posterior(b, X, y, prior_spec, trials),
         x0=np.zeros(d),
         method="BFGS",
+        jac=lambda b: -ref_log_posterior_grad(b, X, y, prior_spec, trials),
     )
     return res.x
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from abn_forge import AbnParams, Dag, ScoreCache
+from abn_forge import AbnParams, Dag, ScoreCache, experiments
 from abn_forge.cli import main
 from abn_forge.experiments import results_from_csv
 
@@ -175,6 +175,21 @@ class TestStudyCommand:
         assert (tmp_path / "results_timings.csv").exists()
         assert (tmp_path / "runs" / "separation").is_dir()
         assert "2 rows" in capsys.readouterr().out
+
+    def test_a_failed_cell_is_exit_one_after_writing_results(self, tmp_path, capsys, monkeypatch):
+        def fail(data, prior, max_parents=None):
+            raise RuntimeError("scoring broke")
+
+        monkeypatch.setattr(experiments, "build_score_cache", fail)
+        config = self.write_config(tmp_path)
+        out = tmp_path / "results.csv"
+        assert run_cli("study", "--config", config, "--out", out, "--workers", 1) == 1
+        rows = results_from_csv(out.read_text())
+        assert [row.note for row in rows] == ["error: scoring broke"] * 2
+        assert (tmp_path / "results_timings.csv").exists()
+        captured = capsys.readouterr()
+        assert "2 rows (separation, seed 4, 2 failed cells)" in captured.out
+        assert "2 failed cells" in captured.err
 
     def test_study_is_byte_deterministic(self, tmp_path):
         config = self.write_config(tmp_path)

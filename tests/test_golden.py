@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abn_forge import AbnParams, Dag, ScoreCache, build_score_cache, prior_from_name, sample
+from abn_forge import AbnParams, Dag, Dataset, ScoreCache, build_score_cache, prior_from_name, sample
 from abn_forge.experiments import StudyConfig, results_to_csv, run_study
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,9 +54,12 @@ def _study_csv(config: StudyConfig) -> str:
 TRUTH = AbnParams.balanced(Dag.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3), (3, 4)]))
 
 
+def golden_data() -> Dataset:
+    return sample(TRUTH, 40, np.random.default_rng(0))
+
+
 def _cache(prior_name: str) -> ScoreCache:
-    data = sample(TRUTH, 40, np.random.default_rng(0))
-    return build_score_cache(data, prior_from_name(prior_name, truth=TRUTH))
+    return build_score_cache(golden_data(), prior_from_name(prior_name, truth=TRUTH))
 
 
 CASES = {

@@ -28,7 +28,7 @@ from abn_forge import (
 )
 from abn_forge import score as score_module
 from abn_forge.experiments import StudyConfig, run_study
-from abn_forge.score import _fit_aggregated, _laplace_value, parent_masks
+from abn_forge.score import PriorTerms, _fit_aggregated, _laplace_value, parent_masks
 from oracles import (
     explicit_design,
     gauss_hermite_log_marginal,
@@ -36,11 +36,13 @@ from oracles import (
     norm_logpdf,
     quad_log_marginal,
     ref_log_posterior,
+    ref_log_posterior_grad,
     scalar_irls_fit,
     t_logpdf,
 )
 from test_golden import TRUTH as GOLDEN_TRUTH
 from test_golden import _cache as golden_cache
+from test_golden import golden_data
 
 CACHE_HEADER = "node,parent_mask,log_score,converged,separation"
 
@@ -570,6 +572,27 @@ class TestCacheAgainstQuadrature:
             expected = stats.t.logpdf(x, df=df, loc=0.0, scale=scales)
             assert np.allclose(t_logpdf(x, df, scales), expected, rtol=1e-12, atol=1e-12)
 
+    def test_oracle_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3):
+            X, y = bernoulli_design(rng, 50, rng.normal(size=d))
+            patterns, successes, trials = aggregate_design(X, y)
+            specs = [
+                gaussian_spec(GaussianPrior(mean=np.linspace(-1.0, 1.0, d), variance=2.0), d),
+                student_spec(StudentTPrior(), d),
+                student_spec(StudentTPrior(df=3.0, scale=0.5), d),
+            ]
+            for spec in specs:
+                for beta in rng.normal(scale=2.0, size=(5, d)):
+                    h, eye = 1e-5, np.eye(d)
+                    central = [
+                        (ref_log_posterior(beta + h * e, patterns, successes, spec, trials)
+                         - ref_log_posterior(beta - h * e, patterns, successes, spec, trials)) / (2.0 * h)
+                        for e in eye
+                    ]
+                    grad = ref_log_posterior_grad(beta, patterns, successes, spec, trials)
+                    assert np.allclose(grad, central, rtol=0.0, atol=1e-6), (d, spec["kind"], beta)
+
     def test_argmax_parent_sets_match_quadrature_oracle(self):
         prior = StudentTPrior()
         hits = 0
@@ -625,6 +648,22 @@ def stack_rows(table, rows):
     return (patterns if len(patterns) == 1 else patterns[rows]), successes[rows], trials[rows]
 
 
+def padded_stack(fits):
+    """One stack of ``(table, one-row PriorTerms)`` fits of any widths, each padded to the widest:
+    zero pattern columns and zero-trial rows, extra coefficients at centre 0 with infinite spread."""
+    n_rows = max(len(successes) for (_, successes, _), _ in fits)
+    width = max(patterns.shape[1] for (patterns, _, _), _ in fits)
+    patterns = np.zeros((len(fits), n_rows, width))
+    successes, trials = np.zeros((len(fits), n_rows)), np.zeros((len(fits), n_rows))
+    centre, spread = np.zeros((len(fits), width)), np.full((len(fits), width), np.inf)
+    widths = []
+    for i, ((p, s, t), terms) in enumerate(fits):
+        patterns[i, : len(s), : p.shape[1]], successes[i, : len(s)], trials[i, : len(s)] = p, s, t
+        centre[i, : p.shape[1]], spread[i, : p.shape[1]] = terms.centre[0], terms.spread[0]
+        widths.append(p.shape[1])
+    return patterns, successes, trials, PriorTerms(centre, spread, fits[0][1].df), np.array(widths)
+
+
 def size_two_keys(n_vars):
     keys = [(node, mask) for node in range(n_vars) for mask in parent_masks(n_vars, node, 2)]
     keys = [(node, mask) for node, mask in keys if mask.bit_count() == 2]
@@ -667,6 +706,67 @@ class TestBatchedFit:
                     assert stack.log_marginal[position] == alone[i].log_marginal[0]
                     assert np.array_equal(stack.coef[position], alone[i].coef[0])
                     assert np.array_equal(stack.neg_hessian[position], alone[i].neg_hessian[0])
+
+    @pytest.mark.parametrize("name", ["wi", "st", "si"])
+    def test_a_table_scores_the_same_in_a_stack_of_any_widths(self, name):
+        # parent sets of sizes 0-2 of the golden dataset, under the prior and, in the Gaussian
+        # stacks, under a flat prior too: (1, 5) is an st saddle and singular on a flat prior
+        data, prior = golden_data(), prior_from_name(name, truth=GOLDEN_TRUTH)
+        keys = [(node, mask) for node in (0, 1) for mask in parent_masks(5, node, 2)]
+        fits = [(data.parent_table(*key), prior.for_masks(*np.array([key]).T)) for key in keys]
+        if name != "st":
+            fits += [(data.parent_table(*key), FLAT.terms(1 + key[1].bit_count())) for key in [(0, 2), (1, 5)]]
+        alone = [_fit_aggregated(*(a[None] for a in table), terms) for table, terms in fits]
+        kinds = {message.partition(" ")[0] for fit in alone for message in fit.failure}
+        assert kinds == ({"", "non-finite"} if name == "st" else {"", "weighted"})
+        ascending = sorted(range(len(fits)), key=lambda i: fits[i][0][0].shape[1])
+        shuffled = list(np.random.default_rng(0).permutation(len(fits))) + [0, len(fits) - 1]
+        for order in (ascending, ascending[::-1], shuffled):
+            stack = _fit_aggregated(*padded_stack([fits[i] for i in order]))
+            for position, i in enumerate(order):
+                width = fits[i][0][0].shape[1]
+                assert stack.log_marginal[position] == alone[i].log_marginal[0], (name, i)
+                assert stack.converged[position] == alone[i].converged[0]
+                assert stack.failure[position] == alone[i].failure[0]
+                assert stack.sweeps[position] == alone[i].sweeps[0]
+                assert np.array_equal(stack.coef[position, :width], alone[i].coef[0])
+                assert not stack.coef[position, width:].any()
+                assert np.array_equal(stack.neg_hessian[position, :width, :width], alone[i].neg_hessian[0])
+
+    @pytest.mark.parametrize("chunk", [1, 40, 300, 5000])
+    def test_chunking_changes_no_score(self, chunk, monkeypatch):
+        rng = np.random.default_rng(4)
+        truth = AbnParams.balanced(random_dag(5, 0.8, rng))
+        data = sample(truth, 60, rng)
+        for name in ("wi", "st", "si"):
+            prior = prior_from_name(name, truth=truth)
+            whole = build_score_cache(data, prior)
+            stacks = []
+
+            def fit(patterns, successes, trials, *rest):
+                n_fits, n_rows = successes.shape
+                stacks.append((n_fits, n_fits * n_rows * np.arange(patterns.shape[-1] + 1).sum()))
+                return _fit_aggregated(patterns, successes, trials, *rest)
+
+            monkeypatch.setattr(score_module, "_CHUNK", chunk)
+            monkeypatch.setattr(score_module, "_fit_aggregated", fit)
+            chunked = build_score_cache(data, prior)
+            monkeypatch.undo()
+            assert chunked.entries == whole.entries and chunked.diagnostics == whole.diagnostics
+            assert len(stacks) > 1
+            # padded elements stay within the bound, unless one fit alone exceeds it
+            assert all(elements <= chunk or n_fits == 1 for n_fits, elements in stacks)
+
+    @pytest.mark.parametrize("name", ["wi", "st", "si"])
+    def test_padded_stacks_raise_no_warning(self, name):
+        rng = np.random.default_rng(6)
+        truth = AbnParams.balanced(random_dag(6, 0.8, rng))
+        for data, generating in [(golden_data(), GOLDEN_TRUTH), (sample(truth, 80, rng), truth)]:
+            prior = prior_from_name(name, truth=generating)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                cache = build_score_cache(data, prior)
+            assert len(cache.entries) == data.n_vars << (data.n_vars - 1)
 
     def test_fit_node_gives_the_cache_entry_bit_for_bit(self):
         # few rows, so many tables miss configurations and are padded in the stack
