@@ -534,9 +534,10 @@ class ScoreCache:
                 key, _, value = line[1:].strip().partition(":")
                 if key in ("n_vars", "max_parents"):
                     value = value.strip()
-                    if not (value.isascii() and value.isdigit() and int(value) <= MAX_NODES):
+                    least = 1 if key == "n_vars" else 0
+                    if not (value.isascii() and value.isdigit() and least <= int(value) <= MAX_NODES):
                         raise ValueError(
-                            f"line {number}: {key} must be an integer in 0..{MAX_NODES}, "
+                            f"line {number}: {key} must be an integer in {least}..{MAX_NODES}, "
                             f"got {value!r}"
                         )
                     sizes[key] = int(value)

@@ -11,14 +11,16 @@ subset S built by peeling off one sink at a time:
 The first table holds ranks, not scores: each node's finite cached entries
 are ranked by score descending, then mask ascending, so the best parent set
 within C is the lowest rank over the subsets of C, a subset minimum over
-small unsigned integers.  With at most 255 finite entries per node that is
-one byte per (node, mask): 4.7 MB at n=18, where float scores and int64
-masks would take 75 MB.  The second program pushes each layer of subsets to
-the next, adding about 18 bytes per subset.  A search at n=18 with at most 2
-parents takes about 0.1 s on a 2-core x86 host (Python 3.11, numpy 2.4),
-and the hard cap of 24 is a statement about the types, not the wall clock.
-Ties are broken deterministically: lowest sink index, then lowest parent
-bitmask.
+small unsigned integers.  C never holds j, so node j's row covers only the
+2^(n-1) masks over the other nodes.  With at most 255 finite entries per node
+that is one byte per (node, mask): 2.4 MB at n=18, where float scores and
+int64 masks over all 2^n masks would take 75 MB.  The second program pushes
+each layer of subsets to the next.  It keeps one float per subset and no
+sink table, about 16 bytes per subset at its peak, and finds the sinks again
+on the way back.  A search at n=18 with at most 2 parents takes about 0.06 s
+on a 2-core x86 host (Python 3.11, numpy 2.4), and the hard cap of 24 is a
+statement about the types, not the wall clock.  Ties are broken
+deterministically: lowest sink index, then lowest parent bitmask.
 """
 
 from __future__ import annotations
@@ -37,24 +39,24 @@ class BestParentTable:
 
     Rank r of node j is its r-th best finite entry (``ranked_score[j, r]``,
     ``ranked_mask[j, r]``); the last rank of every row is the sentinel for
-    "no finite entry", scored -inf with mask 0.  Entry (j, C) is only
-    meaningful when j is not in C, which is all the search ever asks for.
+    "no finite entry", scored -inf with mask 0.  Row j of ``rank`` is indexed
+    by a candidate mask over the other n - 1 nodes, with bit j squeezed out
+    (:func:`_squeeze`).
     """
 
     n_vars: int
-    rank: np.ndarray  # (n, 2^n) lowest rank of any cached subset of the candidate mask
+    rank: np.ndarray  # (n, 2^(n-1)) lowest rank of any cached subset, by squeezed candidate mask
     ranked_score: np.ndarray  # (n, sentinel + 1) the score of each rank
-    ranked_mask: np.ndarray  # (n, sentinel + 1) the parent mask of each rank
+    ranked_mask: np.ndarray  # (n, sentinel + 1) the full parent mask of each rank
 
-    @property
-    def score(self) -> np.ndarray:
-        """(n, 2^n) best score of any cached subset of the candidate mask."""
-        return np.take_along_axis(self.ranked_score, self.rank, axis=1)
 
-    @property
-    def mask(self) -> np.ndarray:
-        """(n, 2^n) the bitmask attaining it (lowest on ties)."""
-        return np.take_along_axis(self.ranked_mask, self.rank, axis=1)
+def _squeeze(mask, node):
+    """``mask`` with bit ``node`` removed and the bits above it moved down one.
+
+    It keeps both the order of masks and the subset relation between them.
+    """
+    low = (1 << node) - 1
+    return (mask & low) | ((mask >> 1) & ~low)
 
 
 def _subset_min(rows: np.ndarray, bits) -> None:
@@ -80,22 +82,23 @@ def best_parent_sets(cache: ScoreCache) -> BestParentTable:
     counts = np.bincount(nodes, minlength=n)
     ranks = np.arange(len(nodes)) - (np.cumsum(counts) - counts)[nodes]
     sentinel = int(counts.max(initial=0))
-    rank = np.full((n, 1 << n), sentinel, dtype=np.min_scalar_type(sentinel))
-    rank[nodes, masks] = ranks
     ranked_score = np.full((n, sentinel + 1), -np.inf)
     ranked_score[nodes, ranks] = scores
     ranked_mask = np.zeros((n, sentinel + 1), dtype=np.int64)
     ranked_mask[nodes, ranks] = masks
     # subset sweep: once every bit is processed, position C holds the lowest
     # rank over all subsets of C.  numpy runs its inner loop over the last
-    # axis, only 2^b long for bit b, so the low half of the bits is swept on
-    # a transposed copy, where they are the high bits.
-    low = n // 2
-    _subset_min(rank, range(low, n))
-    grid = rank.reshape(n, 1 << (n - low), 1 << low)
-    flipped = np.ascontiguousarray(grid.transpose(0, 2, 1))
-    _subset_min(flipped.reshape(n, 1 << n), range(n - low, n))
-    grid[...] = flipped.transpose(0, 2, 1)
+    # axis, only 2^b long for bit b, so the table is filled transposed, with
+    # the low half of the bits as its high bits, swept over them, and swept
+    # over the high half after one transposing copy.
+    m = n - 1
+    low = m // 2
+    squeezed = _squeeze(masks, nodes)
+    flipped = np.full((n, 1 << low, 1 << (m - low)), sentinel, dtype=np.min_scalar_type(sentinel))
+    flipped[nodes, squeezed & ((1 << low) - 1), squeezed >> low] = ranks
+    _subset_min(flipped.reshape(n, 1 << m), range(m - low, m))
+    rank = np.ascontiguousarray(flipped.transpose(0, 2, 1)).reshape(n, 1 << m)
+    _subset_min(rank, range(low, m))
     return BestParentTable(n_vars=n, rank=rank, ranked_score=ranked_score, ranked_mask=ranked_mask)
 
 
@@ -113,40 +116,39 @@ def exact_search(cache: ScoreCache) -> SearchResult:
     outputs.
     """
     n = cache.n_vars
-    size = 1 << n
     table = best_parent_sets(cache)
 
+    # the size of every candidate mask over n - 1 bits
     popcount = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
+    for _ in range(n - 1):
         popcount = np.concatenate((popcount, popcount + 1))
-    # every subset, ordered by size and ascending within a size
-    by_size = np.argsort(popcount, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(popcount, minlength=n + 1))))
 
-    best = np.full(size, -np.inf)
+    best = np.full(1 << n, -np.inf)
     best[0] = 0.0
-    sink = np.full(size, -1, dtype=np.int8)
     for card in range(n):
-        layer = by_size[starts[card] : starts[card + 1]]
-        layer_best = best[layer]
+        # the candidate masks of this size, read around each sink j in turn
+        xs = np.flatnonzero(popcount == card)
+        ranks = table.rank[:, xs]
         for j in range(n):
-            lacks = (layer & (1 << j)) == 0
-            rest = layer[lacks]
+            rest = xs + (xs & -(1 << j))  # a zero bit inserted at j
             grown = rest | (1 << j)
-            value = layer_best[lacks] + table.ranked_score[j][table.rank[j][rest]]
-            better = value > best[grown]  # strict: the lowest qualifying sink wins ties
-            won = grown[better]
-            best[won] = value[better]
-            sink[won] = j
+            value = best.take(rest) + table.ranked_score[j].take(ranks[j])
+            best[grown] = np.maximum(best.take(grown), value)
 
+    # peel sinks off the full set again: a sink of S is a j whose value, the
+    # same float add as above, equals best[S], and the lowest one wins ties
+    remaining = (1 << n) - 1
+    if best[remaining] == -np.inf:
+        raise RuntimeError("search table contains no admissible sink; cache incomplete?")
     parents = [0] * n
-    remaining = size - 1
     while remaining:
-        j = int(sink[remaining])
-        if j < 0:
-            raise RuntimeError("search table contains no admissible sink; cache incomplete?")
-        rest = remaining ^ (1 << j)
-        parents[j] = int(table.ranked_mask[j, table.rank[j, rest]])
+        for j in range(n):
+            rest = remaining ^ (1 << j)
+            if rest < remaining:
+                r = table.rank[j, _squeeze(rest, j)]
+                if best[rest] + table.ranked_score[j, r] == best[remaining]:
+                    break
+        parents[j] = int(table.ranked_mask[j, r])
         remaining = rest
     # recompute the total in node order so it is bit-identical to any other
     # search that lands on the same structure, whatever its accumulation order

@@ -241,6 +241,22 @@ def reference_best_parent_sets(cache: ScoreCache) -> tuple[np.ndarray, np.ndarra
     return score, mask
 
 
+def full_mask_tables(table) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2^n) score and mask of a :class:`BestParentTable`, over full candidate masks.
+
+    Row j of the table is indexed by the candidate mask with bit j squeezed
+    out, so a full mask reads the position it has without bit j: the same
+    arrays :func:`reference_best_parent_sets` builds.
+    """
+    full = np.arange(1 << table.n_vars)
+    low = (1 << np.arange(table.n_vars)[:, None]) - 1
+    rank = np.take_along_axis(table.rank, (full & low) | ((full >> 1) & ~low), axis=1)
+    return (
+        np.take_along_axis(table.ranked_score, rank, axis=1),
+        np.take_along_axis(table.ranked_mask, rank, axis=1),
+    )
+
+
 def reference_exact_search(cache: ScoreCache) -> SearchResult:
     """Sink-peeling DP over every subset, pulling each subset from all of its sinks.
 

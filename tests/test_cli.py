@@ -127,6 +127,16 @@ class TestErrorHandling:
         assert code == 2
         assert "malformed score cache" in capsys.readouterr().err
 
+    def test_score_cache_of_no_variables_is_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "cache.csv"
+        bad.write_text("# n_vars: 0\n# max_parents: 0\nnode,parent_mask,log_score,converged,separation\n")
+        code = run_cli("search", "--cache", bad, "--out", tmp_path / "dag.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed score cache" in err
+        assert "line 1: n_vars must be an integer in 1..24, got '0'" in err
+        assert not (tmp_path / "dag.json").exists()
+
     def test_incomplete_score_cache_is_exit_two(self, tmp_path, capsys):
         # node 1 has no line for its one-parent set {0}
         bad = tmp_path / "cache.csv"

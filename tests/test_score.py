@@ -436,8 +436,9 @@ class TestScoreCache:
              "line 5: duplicate entry for node 0, parent mask 2"),
             ([CACHE_HEADER, "0,0,-1.0,True,none"], "line 4: converged must be true or false, got 'True'"),
             ([CACHE_HEADER, "0,0,-1.0,,none"], "line 4: converged must be true or false, got ''"),
-            (["# n_vars: x", CACHE_HEADER], "line 3: n_vars must be an integer in 0..24, got 'x'"),
-            (["# n_vars: 25", CACHE_HEADER], "line 3: n_vars must be an integer in 0..24, got '25'"),
+            (["# n_vars: x", CACHE_HEADER], "line 3: n_vars must be an integer in 1..24, got 'x'"),
+            (["# n_vars: 25", CACHE_HEADER], "line 3: n_vars must be an integer in 1..24, got '25'"),
+            (["# n_vars: 0", CACHE_HEADER], "line 3: n_vars must be an integer in 1..24, got '0'"),
             (["# max_parents: -1", CACHE_HEADER], "line 3: max_parents must be an integer in 0..24"),
             ([CACHE_HEADER, "0,0,nan,true,none"], "line 4: log_score must be finite or -inf, got 'nan'"),
             ([CACHE_HEADER, "0,0,inf,true,none"], "line 4: log_score must be finite or -inf, got 'inf'"),

@@ -11,9 +11,15 @@ from abn_forge import (
     ScoreCache,
     best_parent_sets,
     exact_search,
+    search,
 )
 from abn_forge.score import parent_masks
-from oracles import brute_force_search, reference_best_parent_sets, reference_exact_search
+from oracles import (
+    brute_force_search,
+    full_mask_tables,
+    reference_best_parent_sets,
+    reference_exact_search,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -44,13 +50,13 @@ def dag_score(cache, dag):
 class TestBestParentSets:
     def test_empty_set_dominates_when_it_scores_highest(self):
         cache = constant_cache(3, value=-1.0, bonus={(0, 0): 5.0, (1, 0): 5.0, (2, 0): 5.0})
-        table = best_parent_sets(cache)
+        score, mask = full_mask_tables(best_parent_sets(cache))
         for node in range(3):
             for candidate in range(8):
                 if (candidate >> node) & 1:
                     continue
-                assert table.mask[node, candidate] == 0
-                assert table.score[node, candidate] == 5.0
+                assert mask[node, candidate] == 0
+                assert score[node, candidate] == 5.0
 
     def test_agrees_with_direct_enumeration(self):
         rng = np.random.default_rng(0)
@@ -66,7 +72,7 @@ class TestBestParentSets:
         caches.append(ScoreCache.from_csv((GOLDEN / "cache_st.csv").read_text()))
         for cache in caches:
             n = cache.n_vars
-            table = best_parent_sets(cache)
+            score, mask = full_mask_tables(best_parent_sets(cache))
             for node in range(n):
                 for candidate in range(1 << n):
                     if (candidate >> node) & 1:
@@ -76,12 +82,12 @@ class TestBestParentSets:
                         for (j, m), entry in cache.entries.items()
                         if j == node and m & candidate == m
                     )
-                    assert table.score[node, candidate] == best[0]
-                    assert table.mask[node, candidate] == -best[1]
+                    assert score[node, candidate] == best[0]
+                    assert mask[node, candidate] == -best[1]
 
     def test_monotone_in_candidate_set(self):
         cache = random_cache(5, np.random.default_rng(1))
-        table = best_parent_sets(cache)
+        score, _ = full_mask_tables(best_parent_sets(cache))
         for node in range(5):
             for candidate in range(32):
                 if (candidate >> node) & 1:
@@ -90,13 +96,13 @@ class TestBestParentSets:
                     if bit == node or (candidate >> bit) & 1:
                         continue
                     bigger = candidate | (1 << bit)
-                    assert table.score[node, bigger] >= table.score[node, candidate]
+                    assert score[node, bigger] >= score[node, candidate]
 
     def test_respects_parent_cap(self):
         cache = random_cache(5, np.random.default_rng(2), max_parents=2)
-        table = best_parent_sets(cache)
+        _, mask = full_mask_tables(best_parent_sets(cache))
         full = 0b11110
-        assert bin(table.mask[0, full]).count("1") <= 2
+        assert bin(mask[0, full]).count("1") <= 2
 
 
 class TestExactSearch:
@@ -192,11 +198,11 @@ DRAWS = {
 
 def assert_matches_reference(cache):
     """The rank-table search gives the float-and-mask reference bit for bit."""
-    table = best_parent_sets(cache)
+    table_score, table_mask = full_mask_tables(best_parent_sets(cache))
     score, mask = reference_best_parent_sets(cache)
-    assert table.score.dtype == score.dtype and table.mask.dtype == mask.dtype
-    np.testing.assert_array_equal(table.score, score)
-    np.testing.assert_array_equal(table.mask, mask)
+    assert table_score.dtype == score.dtype and table_mask.dtype == mask.dtype
+    np.testing.assert_array_equal(table_score, score)
+    np.testing.assert_array_equal(table_mask, mask)
     try:
         expected = reference_exact_search(cache)
     except RuntimeError:
@@ -216,9 +222,28 @@ class TestAgainstReference:
         for cap in range(n_vars):
             assert_matches_reference(random_cache(n_vars, rng, max_parents=cap, draw=DRAWS[draw]))
 
+    @pytest.mark.parametrize("draw", ["ties", "inf"])
+    @pytest.mark.parametrize("n_vars", range(11, 15))
+    def test_random_caches_beyond_n10_with_two_parents(self, n_vars, draw):
+        # wider subset lattices than the every-cap test reaches: up to 14 sinks to peel per subset
+        rng = np.random.default_rng([n_vars, sorted(DRAWS).index(draw)])
+        assert_matches_reference(random_cache(n_vars, rng, max_parents=2, draw=DRAWS[draw]))
+
     @pytest.mark.parametrize("name", ["cache_wi.csv", "cache_st.csv", "cache_si.csv"])
     def test_golden_caches(self, name):
         assert_matches_reference(ScoreCache.from_csv((GOLDEN / name).read_text()))
+
+    @pytest.mark.parametrize(
+        "n_vars, max_parents, dtype",
+        [(1, 0, np.uint8), (2, 1, np.uint8), (9, 7, np.uint8), (9, 8, np.uint16), (12, 2, np.uint8)],
+    )
+    def test_rank_rows_cover_the_other_nodes(self, n_vars, max_parents, dtype):
+        # one rank per candidate mask over the n - 1 other nodes; a node with
+        # at most 255 finite entries ranks in one byte, up to 65,535 in two
+        cache = random_cache(n_vars, np.random.default_rng(12), max_parents=max_parents)
+        rank = best_parent_sets(cache).rank
+        assert rank.shape == (n_vars, 2 ** (n_vars - 1))
+        assert rank.dtype == dtype
 
     def test_full_parent_sets_at_n10_rank_in_two_bytes(self):
         # 512 parent sets per node do not fit a one-byte rank
@@ -240,6 +265,21 @@ class TestAgainstReference:
         for key in [(0, 0), (2, 0b01), (3, 0b10011)]:
             del cache.entries[key]
         assert_matches_reference(cache)
+
+
+def test_exact_search_looks_up_best_parent_sets_by_module_name(monkeypatch):
+    # layer tracing wraps search.best_parent_sets by name and counts one call per search
+    calls = []
+
+    def counted(cache):
+        calls.append(cache)
+        return best_parent_sets(cache)
+
+    monkeypatch.setattr(search, "best_parent_sets", counted)
+    cache = random_cache(5, np.random.default_rng(13))
+    result = exact_search(cache)
+    assert calls == [cache]
+    assert result == reference_exact_search(cache)
 
 
 class TestBruteForceSearch:
