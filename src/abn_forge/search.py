@@ -16,10 +16,11 @@ small unsigned integers.  C never holds j, so node j's row covers only the
 that is one byte per (node, mask): 2.4 MB at n=18, where float scores and
 int64 masks over all 2^n masks would take 75 MB.  The second program pushes
 each layer of subsets to the next.  It keeps one float per subset and no
-sink table, about 16 bytes per subset at its peak, and finds the sinks again
-on the way back.  A search at n=18 with at most 2 parents takes about 0.06 s
-on a 2-core x86 host (Python 3.11, numpy 2.4), and the hard cap of 24 is a
-statement about the types, not the wall clock.  Ties are broken
+sink table, and finds the sinks again on the way back; its traced allocations
+peak at about 15 bytes per subset at n=16-20 (8 for that float, the rest the
+index and value arrays of the widest layer).  A search at n=18 with at most
+2 parents takes about 0.06 s on a 2-core x86 host (Python 3.11, numpy 2.4),
+and the hard cap of 24 is a statement about the types, not the wall clock.  Ties are broken
 deterministically: lowest sink index, then lowest parent bitmask.
 """
 
