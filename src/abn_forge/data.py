@@ -18,6 +18,7 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -26,7 +27,7 @@ import numpy as np
 from .graph import MAX_NODES, Dag, _bit_columns, _edge_pairs, topological_order
 
 _LP_TOL = 1e-7
-# the element count that bounds the working arrays of batched table building and fitting
+# the element count that bounds the working arrays of moment counting, table building and fitting
 _CHUNK = 1 << 18
 
 
@@ -119,6 +120,9 @@ class Dataset:
         codes = values.astype(np.int64) @ (1 << np.arange(values.shape[1], dtype=np.int64))
         self._rows, counts = np.unique(codes, return_counts=True)
         self._counts = counts.astype(float)
+        # the itemset moments of each size counted so far, and the itemsets of the last (see _moments)
+        self._levels, self._grow = [self._counts.sum(keepdims=True)], []
+        self._itemsets = np.zeros((1, 0), dtype=np.int64)
 
     @property
     def n_obs(self) -> int:
@@ -151,24 +155,46 @@ class Dataset:
         :func:`aggregate_design` sorts), then zero-trial rows up to P, the most any table observes.
         ``successes`` and ``trials`` are (B, P); ``patterns`` is (B, P, k+1), or (1, P, k+1) shared
         when P = 2^k and each table lists every configuration.
+
+        The counts come from the dataset's itemset moments (:meth:`_moments`), not from its rows: a
+        key gathers the moments of every subset of its parents, with and without the node, and a
+        Mobius inversion over the parent bits turns them into trials and successes per
+        configuration.  Moments are whole numbers in float64, so every count is exact, and a key
+        costs about 2^(k+1) (k+1) operations however many distinct rows the dataset has.
         """
-        parents = _bit_columns(masks, self.n_vars)
-        n_keys, k = parents.shape
+        n, n_keys, k = self.n_vars, len(masks), int(masks[0]).bit_count()
         configs = 1 << k
-        counts = np.empty((n_keys, configs, 2))
-        # one bincount per chunk of keys, binning the distinct rows by (key, parents, node)
-        step = max(1, _CHUNK // max(1, len(self._rows)))
+        # each configuration's parent bits, and how many are set
+        bits = (np.arange(configs)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        patterns, sizes = np.ones((1, configs, k + 1)), bits.sum(axis=1)
+        patterns[0, :, 1:] = bits
+        moments, grow = self._moments(k + 1)
+        counts = np.empty((n_keys, 2, configs))
+        step = max(1, _CHUNK // max(n, 2 * configs))
         for lo in range(0, n_keys, step):
             chunk = slice(lo, lo + step)
-            index = np.arange(len(parents[chunk]))[:, None]
-            for column in [*parents[chunk].T, nodes[chunk]]:
-                index = index << 1 | (self._rows >> column[:, None]) & 1
-            weights = np.broadcast_to(self._counts, index.shape).ravel()
-            bins = np.bincount(index.ravel(), weights, minlength=counts[chunk].size)
-            counts[chunk] = bins.reshape(-1, configs, 2)
-        successes, trials = counts[..., 1], counts[..., 0] + counts[..., 1]
-        patterns = np.ones((1, configs, k + 1))
-        patterns[0, :, 1:] = (np.arange(configs)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+            node, parents = nodes[chunk], _bit_columns(masks[chunk], n).T
+            grow_node, grow_parents = grow.T[:, node], grow.T[:, parents]
+            # the moment index of every subset of a key's parents (row 0) and of it with the node
+            # (row 1), one column per key.  Parent j joins as bit k-1-j, ascending, so it tops each
+            # subset so far; with the node, it tops the subset if the node lies below it, and
+            # otherwise the node tops the grown subset.
+            index = np.empty((2, configs, len(node)), dtype=np.int32)
+            index[0, 0], index[1, 0] = 0, grow_node[0]
+            for j in range(k):
+                stride = configs >> j
+                half = stride >> 1
+                size, grown_size = sizes[::stride], sizes[half::stride]
+                grown = np.add(index[0, ::stride], grow_parents[size, j], out=index[0, half::stride])
+                np.add(grown, grow_node[grown_size], out=index[1, half::stride])
+                above = parents[j] > node
+                np.add(index[1, ::stride], grow_parents[grown_size, j], out=index[1, half::stride], where=above)
+            table = moments[index]
+            for b in range(k):  # each configuration drops the weight of its supersets, bit by bit
+                pair = table.reshape(2, -1, 2, (1 << b) * len(node))
+                pair[:, :, 0] -= pair[:, :, 1]
+            counts[chunk] = table.transpose(2, 0, 1)
+        successes, trials = counts[:, 1], counts[:, 0]
         observed = trials > 0
         width = int(observed.sum(axis=1).max(initial=0))
         if width < configs:
@@ -176,6 +202,40 @@ class Dataset:
             successes, trials = (np.take_along_axis(a, rows, axis=1) for a in (successes, trials))
             patterns = patterns[0, rows]
         return patterns, successes, trials
+
+    def _moments(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """m(T), the weight of the distinct rows holding every bit of T, for each itemset T of <= ``depth`` bits.
+
+        Itemsets lie by size, and within a size in ascending mask order, which is colex order: T with
+        bits t_1 < ... < t_c sits at ``offset(c) + C(t_1, 1) + ... + C(t_c, c)``, where ``offset(c)``
+        counts the itemsets of fewer bits.  So bit x joining a c-bit itemset as its highest moves its
+        position by ``grow[x, c] = C(x, c + 1) + C(n_vars, c)``; both arrays are returned.  Each size
+        is counted once per dataset, when first asked for, from the itemsets of the size below.
+        """
+        n, levels = self.n_vars, self._levels
+        if len(levels) > depth:
+            return self._tables
+        while len(levels) <= depth:
+            # size c + 1 from the c-bit itemsets: those below bit x are the first C(x, c), and x tops each
+            c = len(levels) - 1
+            lengths = np.array([math.comb(x, c) for x in range(n)])
+            starts = np.cumsum(lengths) - lengths  # C(x, c + 1)
+            top = np.repeat(np.arange(n), lengths)
+            below = np.arange(len(top)) - np.repeat(starts, lengths)
+            level = np.zeros(len(top))
+            step = max(1, _CHUNK // max(n, len(self._itemsets)))
+            for lo in range(0, len(self._rows), step):
+                bits = ((self._rows[lo : lo + step] >> np.arange(n)[:, None]) & 1).astype(float)
+                # each distinct row's weight where it holds every bit of a c-bit itemset, else 0
+                held = self._counts[None, lo : lo + step]
+                for column in self._itemsets.T:
+                    held = held * bits[column]
+                level += np.einsum("ir,jr->ij", held, bits)[below, top]
+            self._grow.append(starts + len(levels[-1]))
+            self._itemsets = np.column_stack([self._itemsets[below], top])
+            levels.append(level)
+        self._tables = np.concatenate(levels), np.column_stack(self._grow).astype(np.int32)
+        return self._tables
 
     def to_csv(self) -> str:
         buf = io.StringIO()

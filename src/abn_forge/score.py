@@ -105,10 +105,6 @@ def _t_log_norm(df: float) -> float:
 class _PositionFree:
     """A coefficient prior that a network uses as it is, for every parent set of every node."""
 
-    def for_node(self, node: int, parent_mask: int) -> CoefficientPrior:
-        """The coefficient prior for one candidate parent set: this one, anywhere."""
-        return self
-
     def for_masks(self, nodes: np.ndarray, masks: np.ndarray) -> PriorTerms:
         """The priors of the fits of ``nodes[i]`` on ``masks[i]`` (all of one size): one shared row."""
         return self.terms(1 + int(masks[0]).bit_count())
@@ -218,11 +214,6 @@ class StrongGaussianPrior:
         spread = np.where(present, self.variance, self.absent_variance)
         spread = np.column_stack([np.full(len(nodes), self.variance), spread])
         return PriorTerms(centre, spread)
-
-    def for_node(self, node: int, parent_mask: int) -> GaussianPrior:
-        """The concrete per-coefficient prior for one candidate parent set."""
-        terms = self.for_masks(np.array([node]), np.array([parent_mask]))
-        return GaussianPrior(mean=terms.centre[0], variance=terms.spread[0])
 
     def describe(self) -> str:
         return (
@@ -523,8 +514,8 @@ class ScoreCache:
     def from_csv(cls, text: str) -> "ScoreCache":
         """Read a cache written by :meth:`to_csv`.
 
-        A malformed line, or a parent set under ``max_parents`` with no line,
-        raises ``ValueError``.
+        A malformed line, a ``max_parents`` above ``n_vars - 1``, or a parent
+        set under ``max_parents`` with no line raises ``ValueError``.
         """
         sizes: dict[str, int] = {}
         prior_label = ""
@@ -551,6 +542,8 @@ class ScoreCache:
             if key not in sizes:
                 raise ValueError(f"missing '# {key}:' comment")
         n_vars, max_parents = sizes["n_vars"], sizes["max_parents"]
+        if max_parents > n_vars - 1:
+            raise ValueError(f"max_parents must lie in 0..{n_vars - 1}")
         (number, header), *rows = rows
         if header != _CACHE_COLUMNS:
             expected = ",".join(_CACHE_COLUMNS)

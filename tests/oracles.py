@@ -20,7 +20,16 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import expit, gammaln
 
-from abn_forge import Dag, Dataset, GaussianPrior, NodeFit, ScoreCache, SearchResult, StudentTPrior
+from abn_forge import (
+    Dag,
+    Dataset,
+    GaussianPrior,
+    NodeFit,
+    ScoreCache,
+    SearchResult,
+    StrongGaussianPrior,
+    StudentTPrior,
+)
 
 # ---------------------------------------------------------------------------
 # linear-inequality feasibility by Fourier-Motzkin elimination (exact)
@@ -660,7 +669,7 @@ def scalar_irls_fit(
 
 
 # ---------------------------------------------------------------------------
-# explicit designs
+# explicit designs and tables
 
 
 def explicit_design(data: Dataset, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray]:
@@ -668,3 +677,47 @@ def explicit_design(data: Dataset, node: int, parent_mask: int) -> tuple[np.ndar
     parents = [k for k in range(data.n_vars) if (parent_mask >> k) & 1]
     X = np.column_stack([np.ones(data.n_obs)] + [data.values[:, k] for k in parents])
     return X.astype(float), data.values[:, node].astype(float)
+
+
+def reference_parent_tables(data: Dataset, nodes, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Dataset.parent_tables`` by one count per key over every observation, in the layout it promises.
+
+    Each key's configurations are numbered with the first parent most significant.  When some key
+    observes all 2^k, every table lists them all ascending, under one shared (1, 2^k, k+1)
+    ``patterns``; otherwise a table lists its observed configurations ascending, then its
+    unobserved ones ascending, cut to the most any key observes.
+    """
+    orders, counts = [], []
+    for node, mask in zip(nodes, masks):
+        parents = [v for v in range(data.n_vars) if (int(mask) >> v) & 1]
+        config = np.zeros(data.n_obs, dtype=np.int64)
+        for v in parents:
+            config = config << 1 | data.values[:, v]
+        n_configs = 1 << len(parents)
+        trials = np.bincount(config, minlength=n_configs).astype(float)
+        successes = np.bincount(config, weights=data.values[:, node].astype(float), minlength=n_configs)
+        seen = np.flatnonzero(trials > 0)
+        orders.append(np.concatenate([seen, np.flatnonzero(trials == 0)]))
+        counts.append((len(seen), successes, trials))
+    k = int(masks[0]).bit_count()
+    width = max(seen for seen, _, _ in counts)
+    shared = width == 1 << k
+    if shared:
+        orders = [np.sort(order) for order in orders]
+    rows = np.array([order[:width] for order in orders], dtype=np.int64).reshape(len(orders), width)
+    patterns = np.ones(rows.shape + (k + 1,))
+    for i in range(k):
+        patterns[..., 1 + i] = (rows >> (k - 1 - i)) & 1
+    if shared:
+        patterns = patterns[:1]
+    successes = np.array([s[row] for (_, s, _), row in zip(counts, rows)], dtype=float).reshape(rows.shape)
+    trials = np.array([t[row] for (_, _, t), row in zip(counts, rows)], dtype=float).reshape(rows.shape)
+    return patterns, successes, trials
+
+
+def prior_for_node(prior, node: int, parent_mask: int):
+    """The coefficient prior of one candidate parent set: ``wi`` and ``st`` as they are, ``si`` made concrete."""
+    if isinstance(prior, StrongGaussianPrior):
+        terms = prior.for_masks(np.array([node]), np.array([parent_mask]))
+        return GaussianPrior(mean=terms.centre[0], variance=terms.spread[0])
+    return prior

@@ -16,8 +16,10 @@ from abn_forge import (
     separation_of_design,
     topological_order,
 )
+from abn_forge import data as data_module
 from abn_forge.data import separation_of_patterns
-from oracles import explicit_design, fm_separation
+from abn_forge.graph import MAX_NODES
+from oracles import explicit_design, fm_separation, reference_parent_tables
 
 
 @pytest.fixture
@@ -173,6 +175,35 @@ class TestParentTable:
                 reference = aggregate_design(*explicit_design(data, node, mask))
                 assert table[0].shape[1] == reference[0].shape[1] == 1 + mask.bit_count()
                 assert table_rows(*table) == table_rows(*reference)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 64])
+    def test_parent_tables_match_the_reference_count_byte_for_byte(self, monkeypatch, chunk):
+        # a chunk of 1 or 64 elements splits the moment and key loops of parent_tables
+        if chunk is not None:
+            monkeypatch.setattr(data_module, "_CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        # fewer rows at wide n, where every size up to n - 1 gathers many itemset moments
+        datasets = [
+            (Dataset(rng.random((int(rng.integers(0, 60 if n < 15 else 25)), n)) < rng.uniform(0.1, 0.9)), n - 1)
+            for n in range(1, 19)
+        ]
+        # deeper sizes at n = 24 would count millions of itemset moments
+        datasets.append((Dataset(rng.integers(0, 2, (12, MAX_NODES))), 4))
+        datasets.append((Dataset(np.zeros((0, 6), dtype=np.uint8)), 5))
+        datasets.append((Dataset(np.repeat(rng.integers(0, 2, (1, 7)), 25, axis=0)), 6))
+        all_rows = (np.arange(64)[:, None] >> np.arange(6)) & 1
+        datasets.append((Dataset(all_rows[rng.permutation(64)]), 5))
+        for data, cap in datasets:
+            n = data.n_vars
+            for size in range(cap + 1):
+                nodes = rng.integers(0, n, 6 if size > 8 else 24)
+                parents = [rng.choice(np.delete(np.arange(n), node), size, replace=False) for node in nodes]
+                masks = np.array([sum(1 << int(v) for v in chosen) for chosen in parents])
+                table = data.parent_tables(nodes, masks)
+                reference = reference_parent_tables(data, nodes, masks)
+                for got, expected in zip(table, reference):
+                    assert (got.shape, got.dtype) == (expected.shape, expected.dtype), (n, size)
+                    assert got.tobytes() == expected.tobytes(), (n, size)
 
     def test_rejects_node_out_of_range(self, collider_params):
         data = sample(collider_params, 10, np.random.default_rng(7))

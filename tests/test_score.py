@@ -34,6 +34,7 @@ from oracles import (
     gauss_hermite_log_marginal,
     newton_mle,
     norm_logpdf,
+    prior_for_node,
     quad_log_marginal,
     ref_log_posterior,
     ref_log_posterior_grad,
@@ -110,21 +111,21 @@ class TestStrongGaussianPrior:
 
     def test_true_parent_gets_tight_informed_slot(self, truth):
         prior = StrongGaussianPrior(truth=truth)
-        concrete = prior.for_node(2, 0b011)
+        concrete = prior_for_node(prior, 2, 0b011)
         mean, var = concrete.resolve(3)
         assert np.array_equal(mean, [-0.5, 5.0, 3.0])
         assert np.array_equal(var, [0.1, 0.1, 0.1])
 
     def test_absent_parent_gets_diffuse_slot(self, truth):
         prior = StrongGaussianPrior(truth=truth)
-        concrete = prior.for_node(1, 0b101)
+        concrete = prior_for_node(prior, 1, 0b101)
         mean, var = concrete.resolve(3)
         assert np.array_equal(mean, [0.0, 0.0, 0.0])
         assert np.array_equal(var, [0.1, 1000.0, 1000.0])
 
     def test_absent_variance_is_configurable(self, truth):
         prior = StrongGaussianPrior(truth=truth, absent_variance=50.0)
-        _, var = prior.for_node(0, 0b010).resolve(2)
+        _, var = prior_for_node(prior, 0, 0b010).resolve(2)
         assert var[1] == 50.0
 
     def test_rejects_bad_variances(self, truth):
@@ -133,7 +134,7 @@ class TestStrongGaussianPrior:
 
     def test_rejects_out_of_range_node(self, truth):
         with pytest.raises(ValueError):
-            StrongGaussianPrior(truth=truth).for_node(3, 0)
+            prior_for_node(StrongGaussianPrior(truth=truth), 3, 0)
 
 
 class TestPriorFromName:
@@ -382,7 +383,7 @@ class TestScoreCache:
             assert len(finite) >= 30
             for node, mask in finite:
                 X, y = explicit_design(data, node, mask)
-                fit = fit_node(X, y, prior.for_node(node, mask))
+                fit = fit_node(X, y, prior_for_node(prior, node, mask))
                 assert np.isclose(cache.score(node, mask), fit.log_marginal, rtol=1e-12), (
                     name, node, mask
                 )
@@ -400,7 +401,7 @@ class TestScoreCache:
         prior = StrongGaussianPrior(truth=params)
         cache = build_score_cache(data, prior)
         X, y = explicit_design(data, 2, 0b0011)
-        fit = fit_node(X, y, prior.for_node(2, 0b0011))
+        fit = fit_node(X, y, prior_for_node(prior, 2, 0b0011))
         assert np.isclose(cache.score(2, 0b0011), fit.log_marginal, rtol=1e-12)
 
     def test_csv_round_trip(self, small_study_data):
@@ -440,6 +441,8 @@ class TestScoreCache:
             (["# n_vars: 25", CACHE_HEADER], "line 3: n_vars must be an integer in 1..24, got '25'"),
             (["# n_vars: 0", CACHE_HEADER], "line 3: n_vars must be an integer in 1..24, got '0'"),
             (["# max_parents: -1", CACHE_HEADER], "line 3: max_parents must be an integer in 0..24"),
+            (["# max_parents: 3", CACHE_HEADER], r"^max_parents must lie in 0\.\.2$"),
+            (["# n_vars: 2", "# max_parents: 9", CACHE_HEADER], r"^max_parents must lie in 0\.\.1$"),
             ([CACHE_HEADER, "0,0,nan,true,none"], "line 4: log_score must be finite or -inf, got 'nan'"),
             ([CACHE_HEADER, "0,0,inf,true,none"], "line 4: log_score must be finite or -inf, got 'inf'"),
         ],
@@ -635,7 +638,7 @@ def flat_failures():
 def assert_matches_scalar_reference(cache, prior):
     failures = {(node, mask): message for node, mask, message in cache.diagnostics}
     for (node, mask), entry in cache.entries.items():
-        ref = scalar_irls_fit(*cache.data.parent_table(node, mask), prior.for_node(node, mask))
+        ref = scalar_irls_fit(*cache.data.parent_table(node, mask), prior_for_node(prior, node, mask))
         assert entry.converged == ref.converged, (node, mask)
         assert failures.get((node, mask), "") == ref.failure, (node, mask)
         if ref.failure:
@@ -777,7 +780,7 @@ class TestBatchedFit:
             prior = prior_from_name(name, truth=truth)
             cache = build_score_cache(data, prior)
             for (node, mask), entry in cache.entries.items():
-                fit = fit_node(*explicit_design(data, node, mask), prior.for_node(node, mask))
+                fit = fit_node(*explicit_design(data, node, mask), prior_for_node(prior, node, mask))
                 assert fit.log_marginal == entry.log_score, (name, node, mask)
                 assert fit.converged == entry.converged
 
