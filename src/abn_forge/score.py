@@ -61,6 +61,7 @@ class PriorTerms(NamedTuple):
 
     With ``df`` set the rows are Student t locations and scales.  ``precision`` is the IRLS working
     precision (for the t, the EM step's); ``curvature`` is minus the log density's Hessian diagonal.
+    :func:`_fit_aggregated` transposes the rows to columns, so ``log_density`` sums over axis 0.
     """
 
     centre: np.ndarray
@@ -71,15 +72,15 @@ class PriorTerms(NamedTuple):
         return self._replace(centre=_per_fit(self.centre, rows), spread=_per_fit(self.spread, rows))
 
     def log_density(self, coef: np.ndarray) -> np.ndarray:
-        """The log prior of each row; a coefficient of infinite spread adds nothing."""
+        """The log prior of each column of ``coef`` (W, B); a coefficient of infinite spread adds nothing."""
         u = coef - self.centre
         if self.df is None:
             v = self.spread
-            return -0.5 * _ordered_sum(np.where(np.isfinite(v), np.log(2.0 * np.pi * v) + u * u / v, 0.0), -1)
+            return -0.5 * _ordered_sum(np.where(np.isfinite(v), np.log(2.0 * np.pi * v) + u * u / v, 0.0))
         df, scale = self.df, self.spread
         z = u / scale
         terms = _t_log_norm(df) - np.log(scale) - (df + 1.0) / 2.0 * np.log1p(z * z / df)
-        return _ordered_sum(np.where(np.isfinite(scale), terms, 0.0), -1)
+        return _ordered_sum(np.where(np.isfinite(scale), terms, 0.0))
 
     def precision(self, coef: np.ndarray) -> np.ndarray:
         if self.df is None:
@@ -159,8 +160,9 @@ class StudentTPrior(_PositionFree):
     location: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.df > 0 and self.scale > 0 and self.intercept_scale > 0):
-            raise ValueError("df and scales must be positive")
+        # an infinite df makes the EM step's working variance inf / inf, so no fit could converge
+        if not (0 < self.df < math.inf and self.scale > 0 and self.intercept_scale > 0):
+            raise ValueError("df must be finite and positive, and scales positive")
 
     def resolve(self, n_coef: int) -> tuple[np.ndarray, np.ndarray]:
         loc = np.full(n_coef, float(self.location))
@@ -233,11 +235,24 @@ def _per_fit(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a if len(a) == 1 else a[rows]
 
 
-def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` strictly in index order, so zero terms change no bit of the total."""
-    if a.shape[axis] == 0:
-        return a.sum(axis=axis)
-    return np.add.accumulate(a, axis=axis).take(-1, axis=axis)
+def _fits(a: np.ndarray, fits: np.ndarray) -> np.ndarray:
+    """Columns ``fits`` of an array with one column per fit on its last axis, or one shared by all."""
+    return a if a.shape[-1] == 1 else a.take(fits, axis=-1)
+
+
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 strictly in index order, so zero terms change no bit of the total.
+
+    numpy reduces the leading axis of a C-contiguous array row by row, in index order, as long as
+    the sum keeps more than one element; it sums a lone axis pairwise, so that case accumulates.
+    ``initial=-0.0`` keeps a sum of -0.0 terms at -0.0, as accumulating does.
+    """
+    a = np.ascontiguousarray(a)  # a no-op for every caller; numpy reduces a strided view in memory order
+    if a.size == 0:
+        return a.sum(axis=0)
+    if a.size == len(a):
+        return np.add.accumulate(a)[-1]
+    return np.add.reduce(a, axis=0, initial=-0.0)
 
 
 def _each(solve, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,35 +338,46 @@ def _by_width(widths: np.ndarray) -> list[tuple[int, slice]]:
 
 
 class _Stack(NamedTuple):
-    """The fits of :func:`_fit_aggregated` still running; ``pairs`` holds each product of two pattern columns."""
+    """The fits of :func:`_fit_aggregated` still running, one per column of every array's last axis.
 
-    patterns: np.ndarray
+    Each sum runs over the leading axis of a C-contiguous array (see :func:`_ordered_sum`): ``rows``
+    holds the patterns table rows first (P, W, B), ``pairs`` (P, W(W+1)/2, B) each product of two
+    pattern columns, ``successes`` and ``trials`` are (P, B), and the prior's arrays (W, B).  An
+    array shared by every fit has one column.
+    """
+
+    rows: np.ndarray
     pairs: np.ndarray
     successes: np.ndarray
     trials: np.ndarray
     widths: np.ndarray
     prior: PriorTerms
 
-    def take(self, rows: np.ndarray) -> _Stack:
-        if len(rows) == len(self.trials):  # rows are ascending and distinct: all of them
+    def take(self, fits: np.ndarray) -> _Stack:
+        if len(fits) == len(self.widths):  # fits are ascending and distinct: all of them
             return self
-        return _Stack(*(_per_fit(a, rows) for a in self[:4]), self.widths[rows], self.prior.take(rows))
+        centre, spread = (_fits(a, fits) for a in self.prior[:2])
+        prior = self.prior._replace(centre=centre, spread=spread)
+        return _Stack(*(_fits(a, fits) for a in self[:4]), self.widths[fits], prior)
 
     def log_post(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The log posterior at ``coef``, and the linear predictor of each table row there."""
-        eta, s, t = _ordered_sum(self.patterns * coef[:, None, :], 2), self.successes, self.trials
-        loglik = _ordered_sum(s * -np.logaddexp(0.0, -eta) + (t - s) * -np.logaddexp(0.0, eta), 1)
+        """The log posterior at ``coef`` (W, B), and the linear predictor of each table row there (P, B)."""
+        # the patterns times the coefficients, written coefficients first: (W, P, B)
+        terms = np.empty((len(coef), len(self.rows), coef.shape[1]))
+        np.multiply(self.rows.transpose(1, 0, 2), coef[:, None], out=terms)
+        eta, s, t = _ordered_sum(terms), self.successes, self.trials
+        loglik = _ordered_sum(s * -np.logaddexp(0.0, -eta) + (t - s) * -np.logaddexp(0.0, eta))
         return loglik + self.prior.log_density(coef), eta
 
     def neg_hessian(self, eta: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Minus the log likelihood's Hessian plus ``prior_diag`` on the diagonal, and the fitted probabilities."""
+        """Minus the log likelihood's Hessians (B, W, W) plus ``prior_diag``, and the fitted probabilities."""
         p = _expit(eta)
-        packed = _ordered_sum(self.pairs * (self.trials * p * (1.0 - p))[..., None], 1)
-        d = self.patterns.shape[-1]
+        packed = _ordered_sum(self.pairs * (self.trials * p * (1.0 - p))[:, None])
+        d = self.rows.shape[1]
         i, j, k = _indices(d)
-        hess = np.empty((len(eta), d, d))
-        hess[:, i, j] = hess[:, j, i] = packed
-        hess[:, k, k] += prior_diag
+        hess = np.empty((eta.shape[1], d, d))
+        hess[:, i, j] = hess[:, j, i] = packed.T
+        hess[:, k, k] += prior_diag.T
         return hess, p
 
 
@@ -369,15 +395,20 @@ def _fit_aggregated(
     Fit i has ``widths[i]`` coefficients (all W by default); a narrower table is padded with zero
     pattern columns whose coefficients sit at centre 0 with infinite spread, and every linear solve
     and Cholesky factor works on a fit's own leading block.  Each fit steps, halves its step,
-    converges (no coefficient moved by ``TOL`` in a sweep) or fails on its own; every sum over
-    table rows or coefficients runs in index order, so a score owes no bit to its stack, to
+    converges (no coefficient moved by ``TOL`` in a sweep) or fails on its own.  The arguments are
+    transposed once, fits last (see :class:`_Stack`), so that every sum over table rows or
+    coefficients runs over a leading axis, in index order: a score owes no bit to its stack, to
     zero-trial rows or to padded columns.
     """
     n_fits, width = trials.shape[0], patterns.shape[-1]
     widths = np.full(n_fits, width) if widths is None else np.asarray(widths)
+    rows = np.ascontiguousarray(patterns.transpose(1, 2, 0))
     row, col, _ = _indices(width)
-    stack = _Stack(patterns, patterns[..., row] * patterns[..., col], successes, trials, widths, terms)
-    beta = np.broadcast_to(terms.centre, (n_fits, width)).copy()
+    pairs = rows.take(row, axis=1) * rows.take(col, axis=1)
+    successes, trials = np.ascontiguousarray(successes.T), np.ascontiguousarray(trials.T)
+    prior = PriorTerms(np.ascontiguousarray(terms.centre.T), np.ascontiguousarray(terms.spread.T), terms.df)
+    stack = _Stack(rows, pairs, successes, trials, widths, prior)
+    beta = np.broadcast_to(prior.centre, (width, n_fits)).copy()
     current, eta = stack.log_post(beta)
     converged = np.zeros(n_fits, dtype=bool)
     sweeps = np.zeros(n_fits, dtype=np.int64)
@@ -387,38 +418,39 @@ def _fit_aggregated(
         if not len(active):
             break
         sweeps[active] = sweep
-        coef = beta[active]
+        coef = beta.take(active, axis=1)
         inv_var = run.prior.precision(coef)
-        hess, p = run.neg_hessian(eta[active], inv_var)
-        grad = _ordered_sum(run.patterns * (run.successes - run.trials * p)[..., None], 1)
+        hess, p = run.neg_hessian(eta.take(active, axis=1), inv_var)
+        grad = _ordered_sum(run.rows * (run.successes - run.trials * p)[:, None])
         grad -= (coef - run.prior.centre) * inv_var
         step, singular = np.zeros_like(grad), np.zeros(len(active), dtype=bool)
-        for w, rows in _by_width(run.widths):
-            solved, singular[rows] = _each(np.linalg.solve, hess[rows, :w, :w], grad[rows, :w, None])
-            step[rows, :w] = solved[..., 0]
+        for w, fits in _by_width(run.widths):
+            solved, singular[fits] = _each(np.linalg.solve, hess[fits, :w, :w], grad[:w, fits].T[..., None])
+            step[:w, fits] = solved[..., 0].T
         for i in active[singular]:
             failure[i] = f"weighted system singular at sweep {sweep} (flat prior on a separated design?)"
         ok = np.flatnonzero(~singular)
-        active, coef, step, run = active[ok], coef[ok], step[ok], run.take(ok)
+        active, coef, step, run = active[ok], coef.take(ok, axis=1), step.take(ok, axis=1), run.take(ok)
         before, candidate = current[active], coef + step
         value, moved = run.log_post(candidate)
         for _ in range(30):
             worse = np.flatnonzero(value < before - 1e-12)
             if not len(worse):
                 break
-            step[worse] = step[worse] / 2.0
-            candidate[worse] = coef[worse] + step[worse]
-            value[worse], moved[worse] = run.take(worse).log_post(candidate[worse])
-        beta[active], current[active], eta[active] = candidate, value, moved
-        done = np.abs(candidate - coef).max(axis=1, initial=0.0) < TOL
+            step[:, worse] = step.take(worse, axis=1) / 2.0
+            candidate[:, worse] = coef.take(worse, axis=1) + step.take(worse, axis=1)
+            value[worse], moved[:, worse] = run.take(worse).log_post(candidate.take(worse, axis=1))
+        beta[:, active], current[active], eta[:, active] = candidate, value, moved
+        done = np.abs(candidate - coef).max(axis=0, initial=0.0) < TOL
         converged[active[done]] = True
         active, run = active[~done], run.take(np.flatnonzero(~done))
     for i in active:
         failure[i] = f"no convergence in {MAX_ITER} sweeps"
 
-    neg_hessian, _ = stack.neg_hessian(eta, terms.curvature(beta))
+    neg_hessian, _ = stack.neg_hessian(eta, prior.curvature(beta))
+    beta = np.ascontiguousarray(beta.T)
     unfailed = np.array([not message for message in failure])
-    scored = np.flatnonzero(unfailed & (trials.sum(axis=1) > 0))
+    scored = np.flatnonzero(unfailed & (trials.sum(axis=0) > 0))
     value = _laplace_value(current[scored], neg_hessian[scored], widths[scored])
     log_marginal = np.where(unfailed, 0.0, -np.inf)  # 0 is the score of an empty table
     log_marginal[scored] = np.where(np.isfinite(value), value, -np.inf)
@@ -439,7 +471,8 @@ def _laplace_value(
     log_det = np.empty(len(widths))
     for w, rows in _by_width(widths):
         chol, _ = _each(np.linalg.cholesky, neg_hessian[rows, :w, :w])
-        log_det[rows] = 2.0 * _ordered_sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), 1)
+        diagonals = np.diagonal(chol, axis1=1, axis2=2).T.copy()  # coefficients first, (w, B)
+        log_det[rows] = 2.0 * _ordered_sum(np.log(diagonals))
     return log_posterior_at_mode + 0.5 * widths * LOG_2PI - 0.5 * log_det
 
 
@@ -704,11 +737,14 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
         at = np.flatnonzero(sizes == size)
         patterns, successes, trials = data.parent_tables(nodes[at], masks[at])
         terms = prior.for_masks(nodes[at], masks[at])
-        # fit each distinct (table, prior row) once
+        # fit each distinct (table, prior row) once, found by the bytes of its row; adding 0.0 turns
+        # -0.0 into 0.0, which a float comparison holds equal
         columns = [successes, trials, *(np.broadcast_to(a, (len(at), size + 1)) for a in terms[:2])]
         if len(patterns) > 1:
             columns.append(patterns.reshape(len(at), -1))
-        _, first, inverse = np.unique(np.hstack(columns), axis=0, return_index=True, return_inverse=True)
+        keyed = np.hstack(columns) + 0.0
+        keyed = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keyed, return_index=True, return_inverse=True)
         distinct[at] = start + inverse.reshape(-1)
         groups.append(_Distinct(start, _per_fit(patterns, first), successes[first], trials[first], terms.take(first)))
         start += len(first)

@@ -151,6 +151,16 @@ class TestErrorHandling:
         assert "missing entry for node 1, parent mask 1" in err
         assert not (tmp_path / "dag.json").exists()
 
+    def test_infinite_student_df_is_exit_two_and_writes_nothing(self, tmp_path, capsys):
+        # every fit would fail after 200 sweeps and the cache would be all -inf
+        data = tmp_path / "data.csv"
+        data.write_text("X1,X2\n0,1\n1,0\n1,1\n")
+        code = run_cli("score", "--data", data, "--prior", "st", "--st-df", "inf",
+                       "--out", tmp_path / "cache.csv")
+        assert code == 2
+        assert "df must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "cache.csv").exists()
+
     def test_si_prior_requires_truth_file(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("X1,X2\n0,1\n1,0\n")

@@ -91,6 +91,10 @@ class TestPriorTypes:
     def test_student_rejects_bad_df(self):
         with pytest.raises(ValueError):
             StudentTPrior(df=0.0)
+        # an infinite df would fail every fit after 200 sweeps
+        for df in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="df must be finite"):
+                StudentTPrior(df=df)
 
     def test_weakly_informative_shorthand(self):
         for prior in (GaussianPrior(), prior_from_name("wi")):
@@ -479,6 +483,24 @@ class TestScoreCache:
         b = build_score_cache(data, GaussianPrior()).to_csv()
         assert a == b
 
+    def test_priors_share_the_tables_of_a_dataset(self, monkeypatch):
+        truth = AbnParams.balanced(random_dag(5, 0.8, np.random.default_rng(2)))
+        data = sample(truth, 60, np.random.default_rng(2))
+        counted = []
+        count_tables = Dataset._count_tables
+
+        def count(self, nodes, masks):
+            counted.append(len(masks))
+            return count_tables(self, nodes, masks)
+
+        monkeypatch.setattr(Dataset, "_count_tables", count)
+        for name in ("wi", "st", "si"):
+            cache = build_score_cache(data, prior_from_name(name, truth=truth))
+        assert counted == [5, 20, 30, 20, 5]  # each parent-set size once, for all three priors
+        for key in cache.entries:
+            cache.separation(*key)
+        assert len(counted) == 5 + len(cache.entries) and len(data._table_store) == 5
+
     def test_failed_fits_get_floor_score_and_diagnostics(self):
         # an improper flat prior on separated data cannot converge
         values = np.repeat([[0, 0], [1, 1]], 8, axis=0).astype(np.uint8)
@@ -674,6 +696,30 @@ def size_two_keys(n_vars):
     return np.array([node for node, _ in keys]), np.array([mask for _, mask in keys])
 
 
+class TestOrderedSum:
+    def test_matches_accumulate_bit_for_bit(self):
+        # 8 terms or more: numpy adds a lone axis pairwise, which changes last bits; -0.0 terms:
+        # a reduce that starts from 0.0 would return 0.0; a Fortran-ordered array: numpy would
+        # reduce its leading axis as the inner loop
+        rng = np.random.default_rng(13)
+        for terms in (1, 2, 7, 8, 9, 20, 200, 600):
+            for kept in ((), (1,), (1, 1), (3,), (1, 4), (2, 5)):
+                shape = (terms, *kept)
+                values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+                signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+                sparse = np.where(rng.random(shape) < 0.5, values, -0.0)
+                for a in (values, np.full(shape, -0.0), signed_zeros, sparse):
+                    expected = np.add.accumulate(a, axis=0)[-1]
+                    for layout in (a, np.asfortranarray(a)):
+                        got = score_module._ordered_sum(layout)
+                        assert got.shape == expected.shape
+                        assert got.tobytes() == expected.tobytes(), (terms, kept)
+        assert np.signbit(score_module._ordered_sum(np.full((3, 2), -0.0))).all()
+
+    def test_an_empty_sum_is_zero(self):
+        assert score_module._ordered_sum(np.zeros((0, 3))).tobytes() == np.zeros(3).tobytes()
+
+
 class TestBatchedFit:
     @pytest.mark.parametrize("name", ["wi", "st", "si"])
     def test_golden_caches_match_the_scalar_reference(self, name):
@@ -773,16 +819,21 @@ class TestBatchedFit:
             assert len(cache.entries) == data.n_vars << (data.n_vars - 1)
 
     def test_fit_node_gives_the_cache_entry_bit_for_bit(self):
-        # few rows, so many tables miss configurations and are padded in the stack
-        truth = AbnParams.balanced(Dag.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
-        data = sample(truth, 40, np.random.default_rng(3))
-        for name in ("wi", "st", "si"):
-            prior = prior_from_name(name, truth=truth)
-            cache = build_score_cache(data, prior)
-            for (node, mask), entry in cache.entries.items():
-                fit = fit_node(*explicit_design(data, node, mask), prior_for_node(prior, node, mask))
-                assert fit.log_marginal == entry.log_score, (name, node, mask)
-                assert fit.converged == entry.converged
+        # few rows, so many tables miss configurations and are padded in the stack; then, at
+        # n=6, N=400, tables of 3 and 4 parents with 8 or more rows, where a one-fit stack sums
+        # 8 or more terms that numpy would add pairwise
+        narrow = AbnParams.balanced(Dag.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        wide = AbnParams.balanced(random_dag(6, 0.2, np.random.default_rng(1)))
+        wide_data = sample(wide, 400, np.random.default_rng(9))
+        assert all(len(wide_data.parent_table(0, mask)[1]) >= 8 for mask in (0b1110, 0b11110))
+        for truth, data in ((narrow, sample(narrow, 40, np.random.default_rng(3))), (wide, wide_data)):
+            for name in ("wi", "st", "si"):
+                prior = prior_from_name(name, truth=truth)
+                cache = build_score_cache(data, prior)
+                for (node, mask), entry in cache.entries.items():
+                    fit = fit_node(*explicit_design(data, node, mask), prior_for_node(prior, node, mask))
+                    assert fit.log_marginal == entry.log_score, (name, node, mask)
+                    assert fit.converged == entry.converged
 
     def test_failing_rows_fail_alone(self, flat_failures):
         table = flat_failures.parent_tables(*size_two_keys(4))
