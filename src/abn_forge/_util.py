@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 import tempfile
 from pathlib import Path
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a float such as JSON's 1.0 or 1.9, a bool or a string raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._util import as_int
 from .graph import MAX_NODES, Dag, _bit_columns, _edge_pairs, topological_order
 
 _LP_TOL = 1e-7
@@ -91,16 +92,14 @@ class AbnParams:
     @classmethod
     def from_json(cls, text: str) -> "AbnParams":
         obj = json.loads(text)
-        n = int(obj["n"])
+        n = as_int(obj["n"], "n")
         edges = obj.get("edges", [])
-        dag = Dag.from_edges(n, _edge_pairs(edges))
-        coef = {}
-        for item in edges:
-            if not isinstance(item, dict) or "coef" not in item:
-                raise ValueError("parameter files need edges as objects with from/to/coef")
-            coef[(int(item["from"]), int(item["to"]))] = float(item["coef"])
+        if not all(isinstance(item, dict) and "coef" in item for item in edges):
+            raise ValueError("parameter files need edges as objects with from/to/coef")
+        pairs = _edge_pairs(edges)
+        coef = {pair: float(item["coef"]) for pair, item in zip(pairs, edges)}
         intercepts = obj.get("intercepts", [0.0] * n)
-        return cls(dag, tuple(float(v) for v in intercepts), coef)
+        return cls(Dag.from_edges(n, pairs), tuple(float(v) for v in intercepts), coef)
 
 
 class Dataset:

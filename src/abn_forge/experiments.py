@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import as_int, atomic_write_text
 from .data import AbnParams, sample
 from .graph import MAX_NODES, compare, random_dag, to_cpdag
 from .score import build_score_cache, prior_from_name
@@ -78,15 +78,15 @@ class StudyConfig:
         if self.study not in _STUDY_PRIORS:
             raise ValueError(f"study must be one of {sorted(_STUDY_PRIORS)}, got {self.study!r}")
         object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
-        object.__setattr__(self, "sample_sizes", tuple(int(v) for v in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", tuple(as_int(v, "sample_sizes") for v in self.sample_sizes))
         object.__setattr__(self, "priors", tuple(str(p).lower() for p in self.priors))
         if self.intercept is not None:
             object.__setattr__(self, "intercept", float(self.intercept))
         if self.replicate_ids is not None:
-            object.__setattr__(self, "replicate_ids", tuple(int(r) for r in self.replicate_ids))
-        if not (isinstance(self.n_nodes, int) and 1 <= self.n_nodes <= MAX_NODES):
+            object.__setattr__(self, "replicate_ids", tuple(as_int(r, "replicate_ids") for r in self.replicate_ids))
+        if not 1 <= as_int(self.n_nodes, "n_nodes") <= MAX_NODES:
             raise ValueError(f"n_nodes must be an integer in 1..{MAX_NODES}, got {self.n_nodes!r}")
-        if self.max_parents is not None and not 0 <= self.max_parents < self.n_nodes:
+        if self.max_parents is not None and not 0 <= as_int(self.max_parents, "max_parents") < self.n_nodes:
             raise ValueError(f"max_parents must be in 0..{self.n_nodes - 1}")
         if not all(math.isfinite(v) for v in (self.edge_coef, self.intercept or 0.0)):
             raise ValueError("edge_coef and intercept must be finite")
@@ -97,7 +97,8 @@ class StudyConfig:
             raise ValueError("densities must be a nonempty subset of (0, 1]")
         if not self.sample_sizes or not all(v >= 1 for v in self.sample_sizes):
             raise ValueError("sample sizes must be >= 1")
-        if self.replicates < 0:
+        as_int(self.master_seed, "master_seed")
+        if as_int(self.replicates, "replicates") < 0:
             raise ValueError("replicates must be >= 0")
         allowed = _STUDY_PRIORS[self.study]
         if not self.priors or not set(self.priors) <= set(allowed):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import as_int
+
 MAX_NODES = 24
 
 
@@ -123,18 +125,13 @@ class Dag:
     @classmethod
     def from_json(cls, text: str) -> "Dag":
         obj = json.loads(text)
-        return cls.from_edges(int(obj["n"]), _edge_pairs(obj.get("edges", [])))
+        return cls.from_edges(as_int(obj["n"], "n"), _edge_pairs(obj.get("edges", [])))
 
 
 def _edge_pairs(raw) -> list[tuple[int, int]]:
-    """Accept edges either as [from, to] pairs or {"from":, "to":} objects."""
-    pairs = []
-    for item in raw:
-        if isinstance(item, dict):
-            pairs.append((int(item["from"]), int(item["to"])))
-        else:
-            pairs.append((int(item[0]), int(item[1])))
-    return pairs
+    """Accept edges either as [from, to] pairs or {"from":, "to":} objects, with integer ends."""
+    ends = [(item["from"], item["to"]) if isinstance(item, dict) else item for item in raw]
+    return [(as_int(a, "edge from"), as_int(b, "edge to")) for a, b in ends]
 
 
 def topological_order(dag: Dag) -> list[int]:
@@ -219,9 +216,9 @@ class Cpdag:
     def from_json(cls, text: str) -> "Cpdag":
         obj = json.loads(text)
         return cls(
-            int(obj["n"]),
-            frozenset((a, b) for a, b in _edge_pairs(obj.get("edges", []))),
-            frozenset((int(a), int(b)) for a, b in obj.get("undirected", [])),
+            as_int(obj["n"], "n"),
+            frozenset(_edge_pairs(obj.get("edges", []))),
+            frozenset(_edge_pairs(obj.get("undirected", []))),
         )
 
 

@@ -24,8 +24,8 @@ The node score is the Laplace approximation at the mode
 with H the negative Hessian of the log posterior.  Duplicate design rows are
 aggregated into (pattern, successes, trials) counts first; the posterior is
 unchanged and binary designs collapse to at most 2^parents patterns, shared by every parent
-set of one size.  A cache fits the parent sets of all sizes as stacked Newton problems, each
-table padded to the widest of its stack (see :func:`_fit_aggregated` and :func:`_stack`).
+set of one size.  A cache fits the parent sets of all sizes as stacked Newton problems; every
+stack gives each fit a row of its own, padded to the widest of the stack (see :func:`_stack`).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ MAX_ITER = 200
 
 
 class PriorTerms(NamedTuple):
-    """A coefficient prior for a stack of fits: rows of normal means and variances, one per fit or shared.
+    """A coefficient prior for a stack of fits: rows of normal means and variances, one per fit.
 
     With ``df`` set the rows are Student t locations and scales.  ``precision`` is the IRLS working
     precision (for the t, the EM step's); ``curvature`` is minus the log density's Hessian diagonal.
@@ -69,6 +69,7 @@ class PriorTerms(NamedTuple):
     df: float | None = None
 
     def take(self, rows: np.ndarray) -> PriorTerms:
+        """Rows ``rows``; a one-row prior, as a position-free prior's ``for_masks`` gives, serves every fit."""
         return self._replace(centre=_per_fit(self.centre, rows), spread=_per_fit(self.spread, rows))
 
     def log_density(self, coef: np.ndarray) -> np.ndarray:
@@ -235,11 +236,6 @@ def _per_fit(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a if len(a) == 1 else a[rows]
 
 
-def _fits(a: np.ndarray, fits: np.ndarray) -> np.ndarray:
-    """Columns ``fits`` of an array with one column per fit on its last axis, or one shared by all."""
-    return a if a.shape[-1] == 1 else a.take(fits, axis=-1)
-
-
 def _ordered_sum(a: np.ndarray) -> np.ndarray:
     """Sum over axis 0 strictly in index order, so zero terms change no bit of the total.
 
@@ -314,12 +310,13 @@ def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be 2-d with one response per row")
-    if X.shape[0] and not np.all(X[:, 0] == 1.0):
+    if not X.shape[1] or (X.shape[0] and not np.all(X[:, 0] == 1.0)):
         raise ValueError("first design column must be the intercept")
     if len(y) and not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("outcomes must be 0 or 1")
     patterns, successes, trials = aggregate_design(X, y)
-    stack = _fit_aggregated(patterns[None], successes[None], trials[None], prior.terms(X.shape[1]))
+    width = np.array([X.shape[1]])
+    stack = _fit_aggregated(patterns[None], successes[None], trials[None], prior.terms(X.shape[1]), width)
     return NodeFit(stack.coef[0], stack.neg_hessian[0], *(a[0].item() for a in stack[2:6]), stack.failure[0])
 
 
@@ -342,8 +339,7 @@ class _Stack(NamedTuple):
 
     Each sum runs over the leading axis of a C-contiguous array (see :func:`_ordered_sum`): ``rows``
     holds the patterns table rows first (P, W, B), ``pairs`` (P, W(W+1)/2, B) each product of two
-    pattern columns, ``successes`` and ``trials`` are (P, B), and the prior's arrays (W, B).  An
-    array shared by every fit has one column.
+    pattern columns, ``successes`` and ``trials`` are (P, B), and the prior's arrays (W, B).
     """
 
     rows: np.ndarray
@@ -356,9 +352,8 @@ class _Stack(NamedTuple):
     def take(self, fits: np.ndarray) -> _Stack:
         if len(fits) == len(self.widths):  # fits are ascending and distinct: all of them
             return self
-        centre, spread = (_fits(a, fits) for a in self.prior[:2])
-        prior = self.prior._replace(centre=centre, spread=spread)
-        return _Stack(*(_fits(a, fits) for a in self[:4]), self.widths[fits], prior)
+        centre, spread, *arrays = (a.take(fits, axis=-1) for a in (*self.prior[:2], *self[:4]))
+        return _Stack(*arrays, self.widths[fits], self.prior._replace(centre=centre, spread=spread))
 
     def log_post(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The log posterior at ``coef`` (W, B), and the linear predictor of each table row there (P, B)."""
@@ -387,28 +382,26 @@ def _fit_aggregated(
     successes: np.ndarray,
     trials: np.ndarray,
     terms: PriorTerms,
-    widths: np.ndarray | None = None,
+    widths: np.ndarray,
 ) -> FitStack:
-    """Posterior-mode IRLS of a stack of tables; row i of ``successes`` and ``trials`` is fit i.
+    """Posterior-mode IRLS of a stack of tables; row i of every argument is fit i.
 
-    ``patterns`` is (B, P, W), or (1, P, W) shared by every fit, and so are the rows of ``terms``.
-    Fit i has ``widths[i]`` coefficients (all W by default); a narrower table is padded with zero
-    pattern columns whose coefficients sit at centre 0 with infinite spread, and every linear solve
-    and Cholesky factor works on a fit's own leading block.  Each fit steps, halves its step,
-    converges (no coefficient moved by ``TOL`` in a sweep) or fails on its own.  The arguments are
-    transposed once, fits last (see :class:`_Stack`), so that every sum over table rows or
-    coefficients runs over a leading axis, in index order: a score owes no bit to its stack, to
-    zero-trial rows or to padded columns.
+    ``patterns`` is (B, P, W), ``successes`` and ``trials`` (B, P), and ``terms`` has B rows of W.
+    Fit i has ``widths[i]`` coefficients; a narrower table is padded with zero pattern columns whose
+    coefficients sit at centre 0 with infinite spread, and every linear solve and Cholesky factor
+    works on a fit's own leading block.  Each fit steps, halves its step, converges (no coefficient
+    moved by ``TOL`` in a sweep) or fails on its own.  The arguments are transposed once, fits last
+    (see :class:`_Stack`), so that every sum over table rows or coefficients runs over a leading
+    axis, in index order: a score owes no bit to its stack, to zero-trial rows or to padded columns.
     """
-    n_fits, width = trials.shape[0], patterns.shape[-1]
-    widths = np.full(n_fits, width) if widths is None else np.asarray(widths)
+    n_fits, width = len(widths), patterns.shape[-1]
     rows = np.ascontiguousarray(patterns.transpose(1, 2, 0))
     row, col, _ = _indices(width)
     pairs = rows.take(row, axis=1) * rows.take(col, axis=1)
     successes, trials = np.ascontiguousarray(successes.T), np.ascontiguousarray(trials.T)
     prior = PriorTerms(np.ascontiguousarray(terms.centre.T), np.ascontiguousarray(terms.spread.T), terms.df)
     stack = _Stack(rows, pairs, successes, trials, widths, prior)
-    beta = np.broadcast_to(prior.centre, (width, n_fits)).copy()
+    beta = prior.centre.copy()
     current, eta = stack.log_post(beta)
     converged = np.zeros(n_fits, dtype=bool)
     sweeps = np.zeros(n_fits, dtype=np.int64)
@@ -460,14 +453,12 @@ def _fit_aggregated(
 
 
 def _laplace_value(
-    log_posterior_at_mode: np.ndarray, neg_hessian: np.ndarray, widths: np.ndarray | None = None
+    log_posterior_at_mode: np.ndarray, neg_hessian: np.ndarray, widths: np.ndarray
 ) -> np.ndarray:
     """The Laplace log marginals of a stack of modes; nan where the negative Hessian has no Cholesky factor.
 
-    Fit i's negative Hessian is the leading ``widths[i]`` block of ``neg_hessian[i]`` (all of it by default).
+    Fit i's negative Hessian is the leading ``widths[i]`` block of ``neg_hessian[i]``.
     """
-    if widths is None:
-        widths = np.full(len(neg_hessian), neg_hessian.shape[-1])
     log_det = np.empty(len(widths))
     for w, rows in _by_width(widths):
         chol, _ = _each(np.linalg.cholesky, neg_hessian[rows, :w, :w])
@@ -678,7 +669,8 @@ def _chunks(groups: list[_Distinct]) -> list[tuple[int, int]]:
 def _stack(groups: list[_Distinct], lo: int, hi: int) -> tuple:
     """The arguments of :func:`_fit_aggregated` for distinct fits ``lo`` to ``hi - 1``, padded to the widest.
 
-    A narrower table gets zero pattern columns and zero-trial rows; its extra coefficients sit at
+    Every fit gets a row of its own, also where its size shares one pattern table or prior row.  A
+    narrower table gets zero pattern columns and zero-trial rows; its extra coefficients sit at
     centre 0 with infinite spread, the unpenalised convention, so they add nothing to any sum.
     """
     pieces = []  # (size, the slice of its fits in the stack, their rows in the stack)
@@ -686,9 +678,6 @@ def _stack(groups: list[_Distinct], lo: int, hi: int) -> tuple:
         first, last = max(lo, group.start), min(hi, group.start + len(group.successes))
         if first < last:
             pieces.append((group, slice(first - group.start, last - group.start), slice(first - lo, last - lo)))
-    if len(pieces) == 1:  # one size: its patterns may stay shared
-        group, rows, _ = pieces[0]
-        return _per_fit(group.patterns, rows), group.successes[rows], group.trials[rows], group.terms.take(rows)
     n_rows = max(group.successes.shape[1] for group, *_ in pieces)
     width = max(group.patterns.shape[-1] for group, *_ in pieces)
     patterns = np.zeros((hi - lo, n_rows, width))

@@ -244,6 +244,10 @@ class TestStudyCommand:
             dict(wi_variance=float("nan")),
             dict(priors=["wi", "st"], st_df=0.0),
             dict(priors=["wi", "st"], st_scale=-1.0),
+            dict(max_parents=1.0),
+            dict(sample_sizes=[100.9]),
+            dict(replicate_ids=[1.2]),
+            dict(replicates=1.5),
         ],
     )
     def test_rejects_config_values_no_cell_can_use(self, tmp_path, capsys, overrides):

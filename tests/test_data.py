@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -51,6 +52,17 @@ class TestAbnParams:
 
     def test_json_round_trip(self, collider_params):
         assert AbnParams.from_json(collider_params.to_json()) == collider_params
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"n": 2.5, "edges": []}, "n"),
+            ({"n": 2, "edges": [{"from": 0.6, "to": 1, "coef": 5.0}]}, "edge from"),
+        ],
+    )
+    def test_json_rejects_a_non_integer_node(self, obj, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            AbnParams.from_json(json.dumps(obj))
 
 
 def _sample_row_by_row(params, n_obs, rng):

@@ -97,8 +97,15 @@ class TestStudyConfig:
             (dict(n_nodes=0), "n_nodes"),
             (dict(n_nodes=30), "n_nodes"),
             (dict(n_nodes=2.5), "n_nodes"),
+            (dict(n_nodes=True), "n_nodes"),
             (dict(max_parents=-1), "max_parents"),
             (dict(max_parents=3), "max_parents"),
+            # a JSON 1.0 or 100.9 is no count: int() would truncate it, or a cell would fail on it late
+            (dict(max_parents=1.0), "max_parents must be an integer"),
+            (dict(sample_sizes=(100.9,)), "sample_sizes must be an integer"),
+            (dict(replicate_ids=(1.2,)), "replicate_ids must be an integer"),
+            (dict(replicates=1.5), "replicates must be an integer"),
+            (dict(master_seed=2.0), "master_seed must be an integer"),
             (dict(edge_coef=float("nan")), "edge_coef"),
             (dict(edge_coef=float("inf")), "edge_coef"),
             (dict(intercept=float("-inf")), "intercept"),

@@ -67,6 +67,18 @@ class TestDag:
         text = json.dumps({"n": 3, "edges": [{"from": 0, "to": 2}]})
         assert Dag.from_json(text) == Dag.from_edges(3, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"n": 3.7, "edges": []}, "n"),
+            ({"n": 3, "edges": [[0, 1.9]]}, "edge to"),
+            ({"n": 3, "edges": [{"from": 0.6, "to": 1}]}, "edge from"),
+        ],
+    )
+    def test_json_rejects_a_non_integer_node(self, obj, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Dag.from_json(json.dumps(obj))
+
 
 class TestTopologicalOrder:
     def test_chain_is_forced(self):
@@ -169,6 +181,11 @@ class TestCpdagType:
     def test_json_round_trip(self):
         cp = to_cpdag(Dag.from_edges(4, [(0, 2), (1, 2), (2, 3)]))
         assert Cpdag.from_json(cp.to_json()) == cp
+
+    @pytest.mark.parametrize("obj", [{"n": 3.0, "edges": []}, {"n": 3, "edges": [], "undirected": [[1, 2.5]]}])
+    def test_json_rejects_a_non_integer_node(self, obj):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Cpdag.from_json(json.dumps(obj))
 
     def test_parse_dispatches_on_keys(self):
         dag = Dag.from_edges(3, [(0, 1)])

@@ -271,6 +271,12 @@ class TestFitNode:
         with pytest.raises(ValueError):
             fit_node(X, np.zeros(5), GaussianPrior())
 
+    @pytest.mark.parametrize("n_obs", [0, 3])
+    def test_rejects_design_without_columns(self, n_obs):
+        # with rows, column 0 does not exist; without, there is no intercept to score
+        with pytest.raises(ValueError, match="intercept"):
+            fit_node(np.zeros((n_obs, 0)), np.zeros(n_obs), GaussianPrior())
+
     def test_rejects_non_binary_outcome(self):
         X = np.ones((4, 1))
         with pytest.raises(ValueError):
@@ -337,7 +343,7 @@ class TestLogMarginal:
         rng = np.random.default_rng(10)
         X, y = bernoulli_design(rng, 30, [0.0, 0.0])
         fit = fit_node(X, y, GaussianPrior())
-        [value] = _laplace_value(np.array([fit.log_posterior]), -np.eye(2)[None])
+        [value] = _laplace_value(np.array([fit.log_posterior]), -np.eye(2)[None], np.array([2]))
         assert not np.isfinite(value)
 
 
@@ -669,9 +675,21 @@ def assert_matches_scalar_reference(cache, prior):
             assert abs(entry.log_score - ref.log_marginal) <= 1e-9, (node, mask)
 
 
-def stack_rows(table, rows):
+def stack_rows(table, terms, rows):
+    """The arguments of ``_fit_aggregated`` for fits ``rows`` of a one-size table stack under ``terms``,
+    each with a row of its own where the stack or the prior shares one."""
     patterns, successes, trials = table
-    return (patterns if len(patterns) == 1 else patterns[rows]), successes[rows], trials[rows]
+    n_fits, width = len(successes), patterns.shape[-1]
+    patterns = np.broadcast_to(patterns, (n_fits, *patterns.shape[1:]))[rows]
+    centre, spread = (np.broadcast_to(a, (n_fits, width))[rows] for a in terms[:2])
+    return patterns, successes[rows], trials[rows], PriorTerms(centre, spread, terms.df), np.full(len(rows), width)
+
+
+def assert_a_row_per_fit(patterns, successes, trials, terms, widths):
+    n_fits = len(widths)
+    assert patterns.shape[0] == successes.shape[0] == trials.shape[0] == n_fits
+    assert terms.centre.shape == terms.spread.shape == (n_fits, patterns.shape[-1])
+    assert widths.dtype.kind == "i" and 1 <= widths.min() and widths.max() <= patterns.shape[-1]
 
 
 def padded_stack(fits):
@@ -749,9 +767,9 @@ class TestBatchedFit:
         table = data.parent_tables(*size_two_keys(4))
         for prior in (GaussianPrior(), StudentTPrior()):
             terms = prior.terms(3)
-            alone = [_fit_aggregated(*stack_rows(table, [i]), terms) for i in range(12)]
+            alone = [_fit_aggregated(*stack_rows(table, terms, [i])) for i in range(12)]
             for order in ([11, 5, 0, 7], [3, 3], [7], list(range(12))[::-1]):
-                stack = _fit_aggregated(*stack_rows(table, order), terms)
+                stack = _fit_aggregated(*stack_rows(table, terms, order))
                 for position, i in enumerate(order):
                     assert stack.log_marginal[position] == alone[i].log_marginal[0]
                     assert np.array_equal(stack.coef[position], alone[i].coef[0])
@@ -766,7 +784,9 @@ class TestBatchedFit:
         fits = [(data.parent_table(*key), prior.for_masks(*np.array([key]).T)) for key in keys]
         if name != "st":
             fits += [(data.parent_table(*key), FLAT.terms(1 + key[1].bit_count())) for key in [(0, 2), (1, 5)]]
-        alone = [_fit_aggregated(*(a[None] for a in table), terms) for table, terms in fits]
+        alone = [
+            _fit_aggregated(*(a[None] for a in table), terms, np.array([table[0].shape[1]])) for table, terms in fits
+        ]
         kinds = {message.partition(" ")[0] for fit in alone for message in fit.failure}
         assert kinds == ({"", "non-finite"} if name == "st" else {"", "weighted"})
         ascending = sorted(range(len(fits)), key=lambda i: fits[i][0][0].shape[1])
@@ -793,10 +813,11 @@ class TestBatchedFit:
             whole = build_score_cache(data, prior)
             stacks = []
 
-            def fit(patterns, successes, trials, *rest):
+            def fit(patterns, successes, trials, terms, widths):
+                assert_a_row_per_fit(patterns, successes, trials, terms, widths)
                 n_fits, n_rows = successes.shape
                 stacks.append((n_fits, n_fits * n_rows * np.arange(patterns.shape[-1] + 1).sum()))
-                return _fit_aggregated(patterns, successes, trials, *rest)
+                return _fit_aggregated(patterns, successes, trials, terms, widths)
 
             monkeypatch.setattr(score_module, "_CHUNK", chunk)
             monkeypatch.setattr(score_module, "_fit_aggregated", fit)
@@ -806,6 +827,30 @@ class TestBatchedFit:
             assert len(stacks) > 1
             # padded elements stay within the bound, unless one fit alone exceeds it
             assert all(elements <= chunk or n_fits == 1 for n_fits, elements in stacks)
+
+    def test_every_stack_has_a_row_per_fit_and_explicit_widths(self, monkeypatch):
+        # the size-2 tables of this dataset observe all 4 parent configurations, so parent_tables
+        # shares one (1, 4, 3) pattern array among them, and a small _CHUNK gives that size stacks
+        # of its own
+        rng = np.random.default_rng(4)
+        truth = AbnParams.balanced(random_dag(5, 0.8, rng))
+        data = sample(truth, 60, rng)
+        assert len(data.parent_tables(*size_two_keys(5))[0]) == 1
+        calls = []
+
+        def fit(*args):
+            calls.append(args)
+            return _fit_aggregated(*args)
+
+        monkeypatch.setattr(score_module, "_CHUNK", 300)
+        monkeypatch.setattr(score_module, "_fit_aggregated", fit)
+        for name in ("wi", "st", "si"):
+            build_score_cache(data, prior_from_name(name, truth=truth))
+        for args in calls:
+            assert len(args) == 5
+            assert_a_row_per_fit(*args)
+        # among them stacks of several size-2 fits alone
+        assert any(len(widths) > 1 and set(widths.tolist()) == {3} for *_, widths in calls)
 
     @pytest.mark.parametrize("name", ["wi", "st", "si"])
     def test_padded_stacks_raise_no_warning(self, name):
@@ -838,11 +883,11 @@ class TestBatchedFit:
     def test_failing_rows_fail_alone(self, flat_failures):
         table = flat_failures.parent_tables(*size_two_keys(4))
         terms = FLAT.terms(3)
-        stack = _fit_aggregated(*table, terms)
+        stack = _fit_aggregated(*stack_rows(table, terms, np.arange(len(table[1]))))
         kinds = [message.partition(" ")[0] for message in stack.failure]
         assert kinds.count("weighted") >= 1 and kinds.count("no") == 1 and kinds.count("") >= 2
         for i, message in enumerate(stack.failure):
-            alone = _fit_aggregated(*stack_rows(table, [i]), terms)
+            alone = _fit_aggregated(*stack_rows(table, terms, [i]))
             assert alone.failure == [message]
             assert alone.sweeps[0] == stack.sweeps[i]
             assert alone.log_marginal[0] == stack.log_marginal[i]
