@@ -15,6 +15,13 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_float(value, name: str) -> float:
+    """``value`` as a float; a bool such as JSON's true, a string such as "5" or another non-number raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file and rename, never leaving partial files."""
     target = Path(path)

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import as_int
+from ._util import as_float, as_int
 from .graph import MAX_NODES, Dag, _bit_columns, _edge_pairs, topological_order
 
 _LP_TOL = 1e-7
@@ -45,8 +45,8 @@ class AbnParams:
     edge_coef: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intercepts", tuple(float(v) for v in self.intercepts))
-        coef = {(int(p), int(c)): float(v) for (p, c), v in self.edge_coef.items()}
+        object.__setattr__(self, "intercepts", tuple(as_float(v, "intercepts") for v in self.intercepts))
+        coef = {(int(p), int(c)): as_float(v, "coef") for (p, c), v in self.edge_coef.items()}
         object.__setattr__(self, "edge_coef", coef)
         if len(self.intercepts) != self.dag.n:
             raise ValueError("need one intercept per node")
@@ -97,9 +97,9 @@ class AbnParams:
         if not all(isinstance(item, dict) and "coef" in item for item in edges):
             raise ValueError("parameter files need edges as objects with from/to/coef")
         pairs = _edge_pairs(edges)
-        coef = {pair: float(item["coef"]) for pair, item in zip(pairs, edges)}
+        coef = {pair: item["coef"] for pair, item in zip(pairs, edges)}
         intercepts = obj.get("intercepts", [0.0] * n)
-        return cls(Dag.from_edges(n, pairs), tuple(float(v) for v in intercepts), coef)
+        return cls(Dag.from_edges(n, pairs), tuple(intercepts), coef)
 
 
 class Dataset:

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from ._util import as_int, atomic_write_text
+from ._util import as_float, as_int, atomic_write_text
 from .data import AbnParams, sample
 from .graph import MAX_NODES, compare, random_dag, to_cpdag
 from .score import build_score_cache, prior_from_name
@@ -77,11 +77,12 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.study not in _STUDY_PRIORS:
             raise ValueError(f"study must be one of {sorted(_STUDY_PRIORS)}, got {self.study!r}")
-        object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
+        object.__setattr__(self, "densities", tuple(as_float(d, "densities") for d in self.densities))
         object.__setattr__(self, "sample_sizes", tuple(as_int(v, "sample_sizes") for v in self.sample_sizes))
         object.__setattr__(self, "priors", tuple(str(p).lower() for p in self.priors))
+        object.__setattr__(self, "edge_coef", as_float(self.edge_coef, "edge_coef"))
         if self.intercept is not None:
-            object.__setattr__(self, "intercept", float(self.intercept))
+            object.__setattr__(self, "intercept", as_float(self.intercept, "intercept"))
         if self.replicate_ids is not None:
             object.__setattr__(self, "replicate_ids", tuple(as_int(r, "replicate_ids") for r in self.replicate_ids))
         if not 1 <= as_int(self.n_nodes, "n_nodes") <= MAX_NODES:
@@ -91,6 +92,8 @@ class StudyConfig:
         if not all(math.isfinite(v) for v in (self.edge_coef, self.intercept or 0.0)):
             raise ValueError("edge_coef and intercept must be finite")
         hyper = ("wi_variance", "st_df", "st_scale", "st_intercept_scale", "si_variance", "si_absent_variance")
+        for name in hyper:
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if bad := [name for name in hyper if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0)]:
             raise ValueError(f"prior hyperparameters must be finite and positive: {', '.join(bad)}")
         if not self.densities or not all(0.0 < d <= 1.0 for d in self.densities):

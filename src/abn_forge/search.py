@@ -16,12 +16,16 @@ small unsigned integers.  C never holds j, so node j's row covers only the
 that is one byte per (node, mask): 2.4 MB at n=18, where float scores and
 int64 masks over all 2^n masks would take 75 MB.  The second program pushes
 each layer of subsets to the next.  It keeps one float per subset and no
-sink table, and finds the sinks again on the way back; its traced allocations
-peak at about 15 bytes per subset at n=16-20 (8 for that float, the rest the
-index and value arrays of the widest layer).  A search at n=18 with at most
-2 parents takes about 0.06 s on a 2-core x86 host (Python 3.11, numpy 2.4),
-and the hard cap of 24 is a statement about the types, not the wall clock.  Ties are broken
-deterministically: lowest sink index, then lowest parent bitmask.
+sink table, and finds the sinks again on the way back.  From n=16 on, that
+table is cut into rows of 128 subsets, so that its steps move whole rows
+rather than floats scattered over the table (:func:`_sink_table`): at n=18
+the table (2 MB) and the rank table (2.4 MB) no longer fit a 2 MB L2 cache.
+Its traced allocations peak at about 12 bytes per subset at n=16-20 (8 for
+that float, the rest a transposed copy of the widest layer of rows and the
+value arrays of one step).  A search at n=18 with at most 2 parents takes
+about 0.035 s on a 2-core x86 host (Python 3.11, numpy 2.4), and the hard
+cap of 24 is a statement about the types, not the wall clock.  Ties are
+broken deterministically: lowest sink index, then lowest parent bitmask.
 """
 
 from __future__ import annotations
@@ -109,6 +113,121 @@ class SearchResult:
     total_score: float
 
 
+# The sink DP's table is one row of 2^n subsets for n below _ONE_ROW_BELOW,
+# and rows of 2^_BLOCK_BITS subsets from there on (see _sink_table).  Rows
+# cost more numpy calls per subset, and on a 2-core x86 host they first pay
+# at n=16 (a fifth faster there, twice as fast at n=18); 6 to 8 bits per row
+# run within a few percent of each other at n=16-20.
+_ONE_ROW_BELOW = 16
+_BLOCK_BITS = 7
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """The number of set bits of every mask over ``bits`` bits, as int8."""
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(bits):
+        popcount = np.concatenate((popcount, popcount + 1))
+    return popcount
+
+
+def _low_steps(b: int):
+    """Per size, the masks over b - 1 bits of that size, a low sink's candidates with its bit squeezed out, and their pushes."""
+    popcount = _popcounts(b - 1)
+    for card in range(b):
+        xs = np.flatnonzero(popcount == card)
+        yield xs, _pushes(xs, b)
+
+
+def _pushes(xs: np.ndarray, b: int):
+    """Per low sink j, the low parts ``xs`` with a zero bit inserted at j, and the same with j set."""
+    for j in range(b):
+        rest = xs + (xs & -(1 << j))  # a zero bit inserted at j
+        yield rest, rest | (1 << j)
+
+
+def _sink_table(table: BestParentTable, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The best network's score over every subset, as rows of 2^b subsets, and the row of each high part.
+
+    A subset S has a high part S >> b, which picks its row, and a low part,
+    which picks its column.  The rows are ordered by the size of their high
+    part, so that each such layer is one contiguous block that only reads the
+    layers before it.  Each layer takes two steps, :func:`_high_sinks` and
+    :func:`_low_sinks`.  A max is exact, so the table holds the same floats
+    whatever the order.  With b = n it is one row, the first step does
+    nothing and the second is the push over every subset.
+    """
+    h = table.n_vars - b
+    popcount = _popcounts(h)
+    order = np.argsort(popcount, kind="stable")  # the high part of each row
+    starts = np.searchsorted(popcount[order], np.arange(h + 2)).tolist()
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(1 << h)
+    best = np.full((1 << h, 1 << b), -np.inf)
+    best[0, 0] = 0.0
+    low_steps = _low_steps(b)
+    if h:
+        # every layer walks the same pushes; a table of one row walks them
+        # once, as they are made, so it holds one push's index arrays at a time
+        low_steps = [(xs, list(pushes)) for xs, pushes in low_steps]
+    for size in range(h + 1):
+        lo, hi = starts[size], starts[size + 1]
+        if size:
+            _high_sinks(table, best, row_of, order[lo:hi], lo, b)
+        if b:
+            _low_sinks(table, best[lo:hi], order[lo:hi], b, low_steps)
+    return best, row_of
+
+
+def _high_sinks(table: BestParentTable, best, row_of, highs, lo: int, b: int) -> None:
+    """Each row H of ``highs``, from row ``lo`` on, takes the best over its high sinks j of row H - {j} plus j's scores.
+
+    Squeezing a high bit out of a subset leaves its low part alone, so j's
+    ranks over a whole row are one contiguous run of ``rank[j]``.
+    """
+    h = table.n_vars - b
+    # node j's ranks by squeezed high part (a run per row) and low part
+    runs = table.rank.reshape(table.n_vars, -1, 1 << b)
+    layer = best[lo:lo + len(highs)]
+    # every (high bit, row of the layer holding it), by bit
+    sinks, at = np.nonzero((highs >> np.arange(h)[:, None]) & 1)
+    rest = highs[at] ^ (1 << sinks)
+    rest_rows = row_of[rest]
+    squeezed = _squeeze(rest, sinks)
+    bounds = np.searchsorted(sinks, np.arange(h + 1)).tolist()
+    for high in range(h):
+        a, z = bounds[high], bounds[high + 1]
+        if a < z:
+            j = b + high
+            value = best.take(rest_rows[a:z], 0)
+            value += table.ranked_score[j].take(runs[j].take(squeezed[a:z], 0))
+            into = at[a:z]
+            np.maximum(value, layer.take(into, 0), out=value)
+            layer[into] = value
+
+
+def _low_sinks(table: BestParentTable, layer, highs, b: int, low_steps) -> None:
+    """The push over the low ``b`` bits, on every row of ``layer`` (high parts ``highs``) at once.
+
+    It runs on a transposed copy of the layer, a row per low part, so every
+    gather moves one low part of all the rows; a layer of one row is pushed
+    in place.
+    """
+    # low sink j's ranks by high part and squeezed low part
+    ranks = table.rank.reshape(table.n_vars, -1, 1 << (b - 1))[:b]
+    if len(highs) == 1:
+        block, ranks = layer[0], ranks[:, highs[0]]
+    else:
+        block = layer.T.copy()
+        ranks = ranks.take(highs, axis=1).transpose(0, 2, 1).copy()
+    for xs, pushes in low_steps:
+        size_ranks = ranks.take(xs, 1)
+        for j, (rest, grown) in enumerate(pushes):
+            value = block.take(rest, 0) + table.ranked_score[j].take(size_ranks[j])
+            block[grown] = np.maximum(block.take(grown, 0), value)
+    if len(highs) > 1:
+        layer[...] = block.T
+
+
 def exact_search(cache: ScoreCache) -> SearchResult:
     """Globally best-scoring DAG under the cache, by sink-peeling over subsets.
 
@@ -118,36 +237,26 @@ def exact_search(cache: ScoreCache) -> SearchResult:
     """
     n = cache.n_vars
     table = best_parent_sets(cache)
+    b = n if n < _ONE_ROW_BELOW else min(n, _BLOCK_BITS)
+    best, row_of = _sink_table(table, b)
+    low = (1 << b) - 1
 
-    # the size of every candidate mask over n - 1 bits
-    popcount = np.zeros(1, dtype=np.int8)
-    for _ in range(n - 1):
-        popcount = np.concatenate((popcount, popcount + 1))
-
-    best = np.full(1 << n, -np.inf)
-    best[0] = 0.0
-    for card in range(n):
-        # the candidate masks of this size, read around each sink j in turn
-        xs = np.flatnonzero(popcount == card)
-        ranks = table.rank[:, xs]
-        for j in range(n):
-            rest = xs + (xs & -(1 << j))  # a zero bit inserted at j
-            grown = rest | (1 << j)
-            value = best.take(rest) + table.ranked_score[j].take(ranks[j])
-            best[grown] = np.maximum(best.take(grown), value)
+    def best_of(subset):
+        return best[row_of[subset >> b], subset & low]
 
     # peel sinks off the full set again: a sink of S is a j whose value, the
-    # same float add as above, equals best[S], and the lowest one wins ties
+    # same float add as in the table, equals best_of(S), and the lowest one wins ties
     remaining = (1 << n) - 1
-    if best[remaining] == -np.inf:
+    if best_of(remaining) == -np.inf:
         raise RuntimeError("search table contains no admissible sink; cache incomplete?")
     parents = [0] * n
     while remaining:
+        target = best_of(remaining)
         for j in range(n):
             rest = remaining ^ (1 << j)
             if rest < remaining:
                 r = table.rank[j, _squeeze(rest, j)]
-                if best[rest] + table.ranked_score[j, r] == best[remaining]:
+                if best_of(rest) + table.ranked_score[j, r] == target:
                     break
         parents[j] = int(table.ranked_mask[j, r])
         remaining = rest

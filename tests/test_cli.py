@@ -161,6 +161,22 @@ class TestErrorHandling:
         assert "df must be finite" in capsys.readouterr().err
         assert not (tmp_path / "cache.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"n": 2, "edges": [{"from": 0, "to": 1, "coef": "5"}]}', "coef"),
+            ('{"n": 2, "edges": [], "intercepts": [0.0, true]}', "intercepts"),
+        ],
+        ids=["coef", "intercepts"],
+    )
+    def test_parameter_that_is_no_number_is_exit_two_and_named(self, tmp_path, capsys, text, field):
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        out = tmp_path / "data.csv"
+        assert run_cli("simulate", "--params", params, "--n-obs", 10, "--seed", 0, "--out", out) == 2
+        assert f"malformed parameter file in {params}: {field} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_si_prior_requires_truth_file(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("X1,X2\n0,1\n1,0\n")
@@ -255,6 +271,21 @@ class TestStudyCommand:
         out = tmp_path / "results.csv"
         assert run_cli("study", "--config", config, "--out", out, "--workers", 1) == 2
         assert "malformed study config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(densities=[True]), "densities"),
+            (dict(intercept=True), "intercept"),
+            (dict(wi_variance="1000"), "wi_variance"),
+        ],
+    )
+    def test_config_float_that_is_no_number_is_exit_two_and_named(self, tmp_path, capsys, overrides, field):
+        config = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "results.csv"
+        assert run_cli("study", "--config", config, "--out", out, "--workers", 1) == 2
+        assert f"malformed study config in {config}: {field} must be a number" in capsys.readouterr().err
         assert not out.exists()
 
 

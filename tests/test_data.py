@@ -64,6 +64,17 @@ class TestAbnParams:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             AbnParams.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"n": 2, "edges": [{"from": 0, "to": 1, "coef": "5"}]}, "coef"),
+            ({"n": 2, "edges": [], "intercepts": ["0.5", True]}, "intercepts"),
+        ],
+    )
+    def test_json_rejects_a_parameter_that_is_no_number(self, obj, field):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            AbnParams.from_json(json.dumps(obj))
+
 
 def _sample_row_by_row(params, n_obs, rng):
     """``sample``'s draws from each row's own logit, summed over the parents in order, and scipy's expit."""

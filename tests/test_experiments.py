@@ -122,6 +122,25 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=message):
             tiny_separation_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # JSON's true and "5" are no numbers: float() would read them as 1.0 and 5.0
+            ("densities", (True,)),
+            ("edge_coef", True),
+            ("intercept", True),
+            ("wi_variance", "1000"),
+            ("st_df", True),
+            ("st_scale", "2.5"),
+            ("st_intercept_scale", True),
+            ("si_variance", "0.1"),
+            ("si_absent_variance", True),
+        ],
+    )
+    def test_rejects_a_float_field_that_is_no_number(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            tiny_separation_config(**{field: value})
+
     def test_rejects_out_of_range_replicate_ids(self):
         with pytest.raises(ValueError, match="replicate_ids"):
             tiny_separation_config(replicate_ids=(2,))

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,60 @@ class TestAgainstReference:
         for key in [(0, 0), (2, 0b01), (3, 0b10011)]:
             del cache.entries[key]
         assert_matches_reference(cache)
+
+
+def search_outcome(search_fn, cache):
+    """The DAG and total ``search_fn`` finds, or the message of its RuntimeError."""
+    try:
+        result = search_fn(cache)
+    except RuntimeError as exc:
+        return str(exc)
+    return result.dag, result.total_score
+
+
+class TestBlockShapes:
+    """The sink DP's table cut into rows of any shape gives the reference search bit for bit."""
+
+    # rows of 2^bits subsets at every n; None keeps every table one row
+    SHAPES = {"one row": None, "one column": 0, "one low bit": 1, "rows of 4": 2, "rows of 8": 3}
+
+    @pytest.mark.parametrize("draw", ["ties", "inf"])
+    @pytest.mark.parametrize("n_vars", range(2, 13))
+    def test_random_caches_under_every_cap(self, monkeypatch, n_vars, draw):
+        rng = np.random.default_rng([n_vars, 100 + sorted(DRAWS).index(draw)])
+        caches = [random_cache(n_vars, rng, max_parents=cap, draw=DRAWS[draw]) for cap in range(n_vars)]
+        shapes = []
+
+        def recorded(table, b):
+            shapes.append((table.n_vars - b, b))
+            return sink_table(table, b)
+
+        sink_table = search._sink_table
+        monkeypatch.setattr(search, "_sink_table", recorded)
+        for cache in caches:
+            # the reference search is the slow part, so it runs once per cache
+            expected = search_outcome(reference_exact_search, cache)
+            for shape, bits in self.SHAPES.items():
+                monkeypatch.setattr(search, "_ONE_ROW_BELOW", 99 if bits is None else 0)
+                monkeypatch.setattr(search, "_BLOCK_BITS", bits)
+                assert search_outcome(exact_search, cache) == expected, shape
+        # (high bits, low bits) of every table: one row, one column, and a block of two or more of each
+        assert (0, n_vars) in shapes and (n_vars, 0) in shapes
+        assert any(h >= 2 and b >= 2 for h, b in shapes) == (n_vars >= 4)
+
+
+def test_sink_dp_peaks_within_16_bytes_per_subset_at_n18(monkeypatch):
+    # 8 bytes are the table's float per subset; the rank table is built before tracing
+    cache = random_cache(18, np.random.default_rng(14), max_parents=2)
+    table = best_parent_sets(cache)
+    monkeypatch.setattr(search, "best_parent_sets", lambda _: table)
+    tracemalloc.start()
+    try:
+        exact_search(cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**18
 
 
 def test_exact_search_looks_up_best_parent_sets_by_module_name(monkeypatch):
