@@ -172,6 +172,8 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_study(args) -> None:
+    if args.workers is not None and args.workers < 1:
+        raise CliError(1, f"abn-forge study: --workers must be at least 1, got {args.workers}")
     config = _parse(args.config, StudyConfig.from_json, "study config")
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)

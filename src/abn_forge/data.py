@@ -122,8 +122,6 @@ class Dataset:
         # the itemset moments of each size counted so far, and the itemsets of the last (see _moments)
         self._levels, self._grow = [self._counts.sum(keepdims=True)], []
         self._itemsets = np.zeros((1, 0), dtype=np.int64)
-        # the read-only tables of each parent_tables call, by the bytes of its keys
-        self._table_store: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def n_obs(self) -> int:
@@ -136,8 +134,7 @@ class Dataset:
     def parent_table(self, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
 
-        The one-key case of :meth:`parent_tables`: the observed configurations, and no padding.  It
-        is counted afresh and not kept, so that classifying entries one by one stores no tables.
+        The one-key case of :meth:`parent_tables`: the observed configurations, and no padding.
         """
         if not 0 <= node < self.n_vars:
             raise ValueError(f"node {node} out of range")
@@ -145,7 +142,7 @@ class Dataset:
             raise ValueError(f"node {node} cannot be its own parent")
         if parent_mask & ~((1 << self.n_vars) - 1):
             raise ValueError("parent mask references variables beyond the dataset")
-        return tuple(table[0] for table in self._count_tables(np.array([node]), np.array([parent_mask])))
+        return tuple(table[0] for table in self.parent_tables(np.array([node]), np.array([parent_mask])))
 
     def parent_tables(
         self, nodes: np.ndarray, masks: np.ndarray
@@ -158,30 +155,14 @@ class Dataset:
         ``successes`` and ``trials`` are (B, P); ``patterns`` is (B, P, k+1), or (1, P, k+1) shared
         when P = 2^k and each table lists every configuration.
 
-        The tables of one set of keys are counted once per dataset (:meth:`_count_tables`) and
-        kept, read-only, for every later call with the same keys, as the score caches of a
-        dataset's priors ask for the same tables.  :meth:`parent_table` keeps nothing.
+        The tables are counted afresh on every call and not kept.  The counts come from the
+        dataset's itemset moments (:meth:`_moments`), which are kept, so the score caches of a
+        dataset's priors share them: a key gathers the moments of every subset of its parents, with
+        and without the node, and a Mobius inversion over the parent bits turns them into trials and
+        successes per configuration.  Moments are whole numbers in float64, so every count is exact,
+        and a key costs about 2^(k+1) (k+1) operations however many distinct rows the dataset has.
         """
         nodes, masks = np.asarray(nodes, dtype=np.int64), np.asarray(masks, dtype=np.int64)
-        key = (nodes.tobytes(), masks.tobytes())
-        tables = self._table_store.get(key)
-        if tables is None:
-            tables = self._table_store[key] = self._count_tables(nodes, masks)
-            for table in tables:
-                table.flags.writeable = False
-        return tables
-
-    def _count_tables(
-        self, nodes: np.ndarray, masks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tables of :meth:`parent_tables`, counted afresh.
-
-        The counts come from the dataset's itemset moments (:meth:`_moments`), not from its rows: a
-        key gathers the moments of every subset of its parents, with and without the node, and a
-        Mobius inversion over the parent bits turns them into trials and successes per
-        configuration.  Moments are whole numbers in float64, so every count is exact, and a key
-        costs about 2^(k+1) (k+1) operations however many distinct rows the dataset has.
-        """
         n, n_keys, k = self.n_vars, len(masks), int(masks[0]).bit_count()
         configs = 1 << k
         # each configuration's parent bits, and how many are set

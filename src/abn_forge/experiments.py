@@ -110,6 +110,13 @@ class StudyConfig:
             0 <= r < self.replicates for r in self.replicate_ids
         ):
             raise ValueError("replicate_ids must index into range(replicates)")
+        if self.replicate_ids == ():
+            raise ValueError("replicate_ids must be nonempty; leave it out to run every replicate")
+        # a repeated value would run its cells again and count them twice in the summaries
+        for name in ("priors", "densities", "sample_sizes", "replicate_ids"):
+            values = getattr(self, name) or ()
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
 
     def to_json(self) -> str:
         obj = {
@@ -309,7 +316,7 @@ def _run_cell_task(args: tuple) -> list[ResultRow]:
 def _worker_count(n_tasks: int, workers: int | None) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
-    return max(1, min(int(workers), max(n_tasks, 1)))
+    return min(workers, max(n_tasks, 1))
 
 
 def run_study(
@@ -321,9 +328,11 @@ def run_study(
 
     ``runs_dir`` persists each cell's truth, dataset and per-prior estimate
     for later re-evaluation.  Cells run in a process pool when more than one
-    worker is available (``workers``, by default the CPU count); the sort
+    worker is available (``workers``, at least 1, by default the CPU count); the sort
     makes output independent of scheduling.
     """
+    if workers is not None and as_int(workers, "workers") < 1:
+        raise ValueError("workers must be >= 1")
     replicate_ids = (
         config.replicate_ids if config.replicate_ids is not None else tuple(range(config.replicates))
     )

@@ -264,6 +264,11 @@ class TestStudyCommand:
             dict(sample_sizes=[100.9]),
             dict(replicate_ids=[1.2]),
             dict(replicates=1.5),
+            dict(priors=["wi", "wi"]),
+            dict(densities=[0.8, 0.8]),
+            dict(sample_sizes=[50, 50]),
+            dict(replicate_ids=[1, 1]),
+            dict(replicate_ids=[]),
         ],
     )
     def test_rejects_config_values_no_cell_can_use(self, tmp_path, capsys, overrides):
@@ -271,6 +276,14 @@ class TestStudyCommand:
         out = tmp_path / "results.csv"
         assert run_cli("study", "--config", config, "--out", out, "--workers", 1) == 2
         assert "malformed study config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "results.csv"
+        assert run_cli("study", "--config", config, "--out", out, "--workers", workers) == 1
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

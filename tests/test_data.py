@@ -228,22 +228,6 @@ class TestParentTable:
                     assert (got.shape, got.dtype) == (expected.shape, expected.dtype), (n, size)
                     assert got.tobytes() == expected.tobytes(), (n, size)
 
-    def test_parent_tables_are_kept_read_only(self, collider_params):
-        data = sample(collider_params, 30, np.random.default_rng(4))
-        nodes, masks = np.array([0, 1, 3]), np.array([0b0010, 0b0100, 0b0001])
-        tables = data.parent_tables(nodes, masks)
-        again = data.parent_tables(nodes.astype(np.int32), list(masks))
-        assert all(kept is table for kept, table in zip(again, tables))
-        for table in tables:
-            with pytest.raises(ValueError, match="read-only"):
-                table[...] = 0.0
-        assert data.parent_tables(nodes[::-1], masks[::-1])[2] is not tables[2]
-
-    def test_parent_table_keeps_nothing(self, collider_params):
-        data = sample(collider_params, 30, np.random.default_rng(4))
-        data.parent_table(2, 0b0011)
-        assert not data._table_store
-
     def test_rejects_node_out_of_range(self, collider_params):
         data = sample(collider_params, 10, np.random.default_rng(7))
         for node in (-1, 4):

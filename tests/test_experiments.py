@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from abn_forge import (
     parse_graph_json,
     to_cpdag,
 )
+from abn_forge import experiments, score, search
 from abn_forge.experiments import (
     ResultRow,
     StudyConfig,
@@ -116,6 +118,13 @@ class TestStudyConfig:
             (dict(st_intercept_scale=float("inf")), "st_intercept_scale"),
             (dict(si_variance=float("-inf")), "si_variance"),
             (dict(si_absent_variance=float("nan")), "si_absent_variance"),
+            # a repeated value would run its cells again; no replicate_ids would run nothing
+            (dict(priors=("wi", "wi")), "priors must not repeat"),
+            (dict(priors=("wi", "WI")), "priors must not repeat"),
+            (dict(densities=(0.8, 0.8)), "densities must not repeat"),
+            (dict(sample_sizes=(60, 60)), "sample_sizes must not repeat"),
+            (dict(replicate_ids=(1, 1)), "replicate_ids must not repeat"),
+            (dict(replicate_ids=()), "replicate_ids must be nonempty"),
         ],
     )
     def test_rejects_sizes_and_coefficients_no_cell_can_use(self, overrides, message):
@@ -225,9 +234,12 @@ class TestRunStudy:
         assert all(math.isnan(r.normalized_parents) for r in flagged)
         assert all(r.edges_true == 0 for r in flagged)
 
-    def test_failing_fit_yields_error_row(self, monkeypatch):
-        import abn_forge.experiments as experiments
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_study(tiny_separation_config(), workers=workers)
 
+    def test_failing_fit_yields_error_row(self, monkeypatch):
         def explode(*args, **kwargs):
             raise RuntimeError("fit blew up")
 
@@ -236,6 +248,43 @@ class TestRunStudy:
         assert len(rows) == 2
         assert all(r.note == "error: fit blew up" for r in rows)
         assert all(math.isnan(r.tpr) for r in rows)
+
+
+class TestBenchmarkContract:
+    # perfbench times a study cell through these module attributes, and its worker marks a cell
+    # wrong unless it sees one build_score_cache and one exact_search call per prior
+    WRAPPED = {
+        experiments: ("sample", "build_score_cache", "exact_search", "to_cpdag", "compare"),
+        score: ("_fit_aggregated", "_laplace_value", "parent_masks"),
+        search: ("best_parent_sets",),
+    }
+
+    def test_a_cell_calls_every_timed_layer_and_builds_once_per_prior(self, monkeypatch):
+        config = StudyConfig(
+            study="lindley",
+            n_nodes=4,
+            densities=(0.5,),
+            sample_sizes=(50,),
+            replicates=1,
+            priors=("wi", "st", "si"),
+            master_seed=3,
+        )
+        unwrapped = results_to_csv(run_study(config, workers=1))
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for module, names in self.WRAPPED.items():
+            for name in names:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert results_to_csv(run_study(config, workers=1)) == unwrapped
+        assert set(calls) == {name for names in self.WRAPPED.values() for name in names}
+        assert calls["build_score_cache"] == calls["exact_search"] == len(config.priors)
 
 
 class TestRunArtifacts:

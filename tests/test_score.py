@@ -489,23 +489,24 @@ class TestScoreCache:
         b = build_score_cache(data, GaussianPrior()).to_csv()
         assert a == b
 
-    def test_priors_share_the_tables_of_a_dataset(self, monkeypatch):
+    def test_priors_share_the_moments_of_a_dataset(self, monkeypatch):
         truth = AbnParams.balanced(random_dag(5, 0.8, np.random.default_rng(2)))
         data = sample(truth, 60, np.random.default_rng(2))
         counted = []
-        count_tables = Dataset._count_tables
+        moments = Dataset._moments
 
-        def count(self, nodes, masks):
-            counted.append(len(masks))
-            return count_tables(self, nodes, masks)
+        def count(self, depth):
+            before = len(self._levels)
+            result = moments(self, depth)
+            counted.extend(range(before, len(self._levels)))  # the itemset sizes this call counted
+            return result
 
-        monkeypatch.setattr(Dataset, "_count_tables", count)
+        monkeypatch.setattr(Dataset, "_moments", count)
         for name in ("wi", "st", "si"):
             cache = build_score_cache(data, prior_from_name(name, truth=truth))
-        assert counted == [5, 20, 30, 20, 5]  # each parent-set size once, for all three priors
         for key in cache.entries:
             cache.separation(*key)
-        assert len(counted) == 5 + len(cache.entries) and len(data._table_store) == 5
+        assert counted == [1, 2, 3, 4, 5]  # each size once, for all three priors and every table after
 
     def test_failed_fits_get_floor_score_and_diagnostics(self):
         # an improper flat prior on separated data cannot converge
