@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import as_float, as_int
+from ._util import as_float, as_int, csv_text
 from .graph import MAX_NODES, Dag, _bit_columns, _edge_pairs, topological_order
 
 _LP_TOL = 1e-7
@@ -239,12 +239,7 @@ class Dataset:
         return self._tables
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"X{k + 1}" for k in range(self.n_vars)])
-        for row in self.values:
-            writer.writerow([int(v) for v in row])
-        return buf.getvalue()
+        return csv_text([f"X{k + 1}" for k in range(self.n_vars)], self.values.tolist())
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":

@@ -23,18 +23,16 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
-import csv
-import io
 import json
 import math
 
 import numpy as np
 
-from ._util import as_float, as_int, atomic_write_text
+from ._util import as_float, as_int, atomic_write_text, csv_records, csv_text
 from .data import AbnParams, sample
 from .graph import MAX_NODES, compare, random_dag, to_cpdag
 from .score import build_score_cache, prior_from_name
@@ -174,20 +172,7 @@ class ResultRow:
     wall_time_ms: float = float("nan")
 
 
-RESULT_FIELDS = (
-    "study",
-    "prior_name",
-    "density",
-    "n_obs",
-    "replicate",
-    "tpr",
-    "fpr",
-    "tnr",
-    "edges_true",
-    "edges_fitted",
-    "normalized_parents",
-    "note",
-)
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_time_ms")
 
 TIMING_FIELDS = ("study", "prior_name", "density", "n_obs", "replicate", "wall_time_ms")
 
@@ -356,68 +341,20 @@ def run_study(
     return rows
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
-
-
 def results_to_csv(rows: Sequence[ResultRow]) -> str:
     """Render rows deterministically; wall-clock time goes to the timings table instead."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_FIELDS)
-    for row in rows:
-        writer.writerow([_format_value(getattr(row, name)) for name in RESULT_FIELDS])
-    return buf.getvalue()
+    return csv_text(RESULT_FIELDS, ([getattr(row, name) for name in RESULT_FIELDS] for row in rows))
 
 
 def timings_to_csv(rows: Sequence[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TIMING_FIELDS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.study,
-                row.prior_name,
-                _format_value(row.density),
-                row.n_obs,
-                row.replicate,
-                f"{row.wall_time_ms:.3f}",
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(
+        TIMING_FIELDS,
+        ([r.study, r.prior_name, r.density, r.n_obs, r.replicate, f"{r.wall_time_ms:.3f}"] for r in rows),
+    )
 
 
 def results_from_csv(text: str) -> list[ResultRow]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != RESULT_FIELDS:
-        raise ValueError("unexpected results header")
-    out = []
-    for raw in rows[1:]:
-        if not raw:
-            continue
-        rec = dict(zip(RESULT_FIELDS, raw))
-        out.append(
-            ResultRow(
-                study=rec["study"],
-                prior_name=rec["prior_name"],
-                density=float(rec["density"]),
-                n_obs=int(rec["n_obs"]),
-                replicate=int(rec["replicate"]),
-                tpr=float(rec["tpr"]),
-                fpr=float(rec["fpr"]),
-                tnr=float(rec["tnr"]),
-                edges_true=int(rec["edges_true"]),
-                edges_fitted=int(rec["edges_fitted"]),
-                normalized_parents=float(rec["normalized_parents"]),
-                note=rec["note"],
-            )
-        )
-    return out
+    return [ResultRow(**rec) for rec in csv_records(text, RESULT_FIELDS, get_type_hints(ResultRow))]
 
 
 SUMMARY_FIELDS = (
@@ -480,27 +417,9 @@ def summarize_rows(rows: Sequence[ResultRow]) -> list[dict]:
 
 
 def summary_to_csv(summary: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_FIELDS)
-    for rec in summary:
-        writer.writerow([_format_value(rec[name]) for name in SUMMARY_FIELDS])
-    return buf.getvalue()
+    return csv_text(SUMMARY_FIELDS, ([rec[name] for name in SUMMARY_FIELDS] for rec in summary))
 
 
 def summary_from_csv(text: str) -> list[dict]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != SUMMARY_FIELDS:
-        raise ValueError("unexpected summary header")
-    out = []
-    for raw in rows[1:]:
-        if not raw:
-            continue
-        rec = dict(zip(SUMMARY_FIELDS, raw))
-        rec["density"] = float(rec["density"])
-        rec["n_obs"] = int(rec["n_obs"])
-        rec["count"] = int(rec["count"])
-        for name in ("mean", "median", "q1", "q3", "lo", "hi"):
-            rec[name] = float(rec[name])
-        out.append(rec)
-    return out
+    types = dict.fromkeys(("density", "mean", "median", "q1", "q3", "lo", "hi"), float)
+    return csv_records(text, SUMMARY_FIELDS, {**types, "n_obs": int, "count": int})

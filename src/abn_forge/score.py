@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
 
+from ._util import csv_text
 from .data import (
     _CHUNK,
     AbnParams,
@@ -148,7 +148,7 @@ class GaussianPrior(_PositionFree):
 
 @dataclass(frozen=True)
 class StudentTPrior(_PositionFree):
-    """Independent Student t priors, Cauchy by default.
+    """Independent Student t priors centred at 0, Cauchy by default.
 
     Slopes get ``scale``; the intercept (column 0 of every design) gets
     ``intercept_scale``, which has no consensus default and is therefore kept
@@ -158,7 +158,6 @@ class StudentTPrior(_PositionFree):
     df: float = 1.0
     scale: float = 2.5
     intercept_scale: float = 10.0
-    location: float = 0.0
 
     def __post_init__(self) -> None:
         # an infinite df makes the EM step's working variance inf / inf, so no fit could converge
@@ -166,10 +165,9 @@ class StudentTPrior(_PositionFree):
             raise ValueError("df must be finite and positive, and scales positive")
 
     def resolve(self, n_coef: int) -> tuple[np.ndarray, np.ndarray]:
-        loc = np.full(n_coef, float(self.location))
         scales = np.full(n_coef, float(self.scale))
         scales[0] = float(self.intercept_scale)
-        return loc, scales
+        return np.zeros(n_coef), scales
 
     def terms(self, n_coef: int) -> PriorTerms:
         loc, scales = self.resolve(n_coef)
@@ -514,25 +512,14 @@ class ScoreCache:
         return len(self.entries)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# n_vars: {self.n_vars}\n")
-        buf.write(f"# max_parents: {self.max_parents}\n")
+        comments = {"n_vars": self.n_vars, "max_parents": self.max_parents}
         if self.prior_label:
-            buf.write(f"# prior: {self.prior_label}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CACHE_COLUMNS)
-        for (node, mask) in sorted(self.entries):
-            entry = self.entries[(node, mask)]
-            writer.writerow(
-                [
-                    node,
-                    mask,
-                    repr(entry.log_score),
-                    "true" if entry.converged else "false",
-                    self.separation(node, mask).value,
-                ]
-            )
-        return buf.getvalue()
+            comments["prior"] = self.prior_label
+        rows = (
+            [node, mask, entry.log_score, "true" if entry.converged else "false", self.separation(node, mask).value]
+            for (node, mask), entry in sorted(self.entries.items())
+        )
+        return csv_text(_CACHE_COLUMNS, rows, comments.items())
 
     @classmethod
     def from_csv(cls, text: str) -> "ScoreCache":

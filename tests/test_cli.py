@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import stat
 from collections import Counter
 
 import pytest
 
 from abn_forge import AbnParams, Dag, ScoreCache, experiments
+from abn_forge._util import atomic_write_text
 from abn_forge.cli import main
 from abn_forge.experiments import results_from_csv
 
@@ -328,6 +331,21 @@ class TestSummarizeCommand:
         assert text.count('<g class="box"') == 4  # 2 priors x 2 metric panels
         assert summary.read_text().startswith("study,prior_name,")
 
+    @pytest.mark.parametrize(
+        "row, got",
+        [
+            ("separation,wi,0.8,50,0,1.0,0.0,1.0,2,2,1.0,,extra", 13),
+            ("separation,wi,0.8,50,0,1.0,0.0,1.0,2,2,1.0", 11),
+        ],
+    )
+    def test_a_row_of_the_wrong_width_is_exit_two_and_writes_nothing(self, tmp_path, capsys, row, got):
+        results = tmp_path / "results.csv"
+        results.write_text(",".join(experiments.RESULT_FIELDS) + "\n" + row + "\n")
+        summary = tmp_path / "summary.csv"
+        assert run_cli("summarize", "--in", results, "--out", summary) == 2
+        assert f"malformed results table in {results}: line 2: expected 12 fields, got {got}" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_empty_results_warn_but_render(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
         results.write_text(
@@ -341,3 +359,21 @@ class TestSummarizeCommand:
         assert "empty summary" in captured.err
         assert svg.read_text().startswith("<svg ")
         assert svg.read_text().rstrip().endswith("</svg>")
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_mode_follows_the_umask_for_new_and_replaced_files(self, tmp_path, umask):
+        target = tmp_path / "out" / "table.csv"
+        old = os.umask(umask)
+        try:
+            atomic_write_text(target, "a\n")
+            modes = [stat.S_IMODE(target.stat().st_mode)]
+            target.chmod(0o600)
+            atomic_write_text(target, "b\n")
+            modes.append(stat.S_IMODE(target.stat().st_mode))
+        finally:
+            os.umask(old)
+        assert modes == [0o666 & ~umask] * 2
+        assert target.read_text() == "b\n"
+        assert [p.name for p in target.parent.iterdir()] == ["table.csv"]

@@ -365,6 +365,25 @@ class TestResultTables:
         with pytest.raises(ValueError, match="header"):
             results_from_csv("a,b,c\n1,2,3\n")
 
+    @pytest.mark.parametrize("got", [13, 11])
+    @pytest.mark.parametrize("kind", ["results", "summary"])
+    def test_rejects_a_row_of_the_wrong_width(self, kind, got):
+        rows = self.make_rows()
+        if kind == "results":
+            text, read = results_to_csv(rows), results_from_csv
+        else:
+            text, read = summary_to_csv(summarize_rows(rows)), summary_from_csv
+        lines = text.splitlines()
+        lines[2] = ",".join((lines[2].split(",") + ["extra"])[:got])
+        with pytest.raises(ValueError, match=f"^line 3: expected 12 fields, got {got}$"):
+            read("\n".join(lines) + "\n")
+
+    def test_a_field_that_does_not_convert_names_its_line(self):
+        lines = results_to_csv(self.make_rows()).splitlines()
+        lines[1] = lines[1].replace(",100,", ",many,")
+        with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
+            results_from_csv("\n".join(lines) + "\n")
+
     def test_summary_stats_match_numpy(self):
         rows = self.make_rows()
         summary = summarize_rows(rows)

@@ -10,6 +10,10 @@ numpy picks SIMD kernels by CPU, so the files are also checked with the
 kernels this CPU would get turned off.  A change meant to move results
 regenerates them with ``python tests/test_golden.py`` and shows the old and
 new numbers.
+
+The paper-scale record in ``results/`` is checked the same way from its
+committed results CSVs: they read and write back byte for byte, and their
+summary CSVs and SVGs are what ``abn-forge summarize`` makes of them.
 """
 
 import os
@@ -21,10 +25,19 @@ import numpy as np
 import pytest
 
 from abn_forge import AbnParams, Dag, Dataset, ScoreCache, build_score_cache, prior_from_name, sample
-from abn_forge.experiments import StudyConfig, results_to_csv, run_study
+from abn_forge.experiments import (
+    StudyConfig,
+    results_from_csv,
+    results_to_csv,
+    run_study,
+    summarize_rows,
+    summary_to_csv,
+)
+from abn_forge.svg import render_summary_svg
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+RECORD = Path(__file__).resolve().parent.parent / "results"
 
 SEPARATION = StudyConfig(
     study="separation",
@@ -75,6 +88,16 @@ CASES = {
 def test_output_matches_golden_file(name):
     expected = (GOLDEN / name).read_text()
     assert CASES[name]() == expected
+
+
+@pytest.mark.parametrize("study", ["separation_n10", "lindley_n10"])
+def test_committed_record_reproduces(study):
+    text = (RECORD / f"{study}_results.csv").read_text()
+    rows = results_from_csv(text)
+    assert results_to_csv(rows) == text
+    summary = summarize_rows(rows)
+    assert summary_to_csv(summary) == (RECORD / f"{study}_summary.csv").read_text()
+    assert render_summary_svg(summary) == (RECORD / f"{study}_summary.svg").read_text()
 
 
 def active_simd_features() -> list[str]:
