@@ -243,20 +243,25 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
+        """Read a dataset written by :meth:`to_csv`; a row of the wrong width or a field other than 0/1 names its line."""
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None:
             raise ValueError("empty dataset file")
-        header = rows[0]
         expected = [f"X{k + 1}" for k in range(len(header))]
         if header != expected:
             raise ValueError(f"dataset header must be {expected[:3]}..., got {header[:3]}")
-        body = [r for r in rows[1:] if r]
-        if any(len(r) != len(header) for r in body):
-            raise ValueError("ragged dataset rows")
-        values = np.array([[int(v) for v in r] for r in body], dtype=np.uint8)
-        if values.size == 0:
-            values = values.reshape(0, len(header))
-        return cls(values)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
+            bad = [v for v in row if v not in ("0", "1")]
+            if bad:
+                raise ValueError(f"line {reader.line_num}: a field must be 0 or 1, got {bad[0]!r}")
+            rows.append([v == "1" for v in row])
+        return cls(np.array(rows, dtype=np.uint8).reshape(len(rows), len(header)))
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
@@ -268,6 +273,11 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     eta = -709 exp(-eta) overflows to inf and the probability is 0: callers silence overflow.
     """
     return 1.0 / (1.0 + np.exp(np.asarray(-eta, dtype=np.complex128)).real)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """The natural log of positive ``x`` by the C library's complex log, on every CPU, as :func:`_expit`."""
+    return np.log(np.asarray(x, dtype=np.complex128)).real
 
 
 @np.errstate(over="ignore")  # see _expit

@@ -10,12 +10,16 @@ Each candidate parent set of each node gets a Bayesian logistic regression
 * ``StrongGaussianPrior`` - normals centred on the generating parameters with
   small variance, for studies where the truth is known.
 
-Fitting maximises the exact log posterior by iteratively reweighted least
-squares with the prior folded in as pseudo-observations.  For the t family
-each sweep first performs an EM step: conditional on the current coefficient,
-the t prior is replaced by its conditional Gaussian with working variance
-``(df * scale^2 + (coef - loc)^2) / (df + 1)``, which at convergence is a
-fixed point.  Steps that would decrease the log posterior are halved.
+Fitting maximises the exact log posterior by Newton's method (iteratively
+reweighted least squares) with the prior folded in as pseudo-observations.
+Each fit starts from its data, as GLM fitting does: one penalised weighted
+least-squares step from the fitted probabilities ``(s + 1/2) / (t + 1)`` of its
+table rows, with the prior at its centre.  Every sweep then steps on the exact
+negative Hessian.  For the t family that Hessian need not be positive
+definite; where it has no Cholesky factor the sweep takes an EM step instead,
+replacing the t prior by its conditional Gaussian with working variance
+``(df * scale^2 + (coef - loc)^2) / (df + 1)``, which shares the posterior's
+stationary points.  Steps that would decrease the log posterior are halved.
 
 The node score is the Laplace approximation at the mode
 
@@ -45,6 +49,7 @@ from .data import (
     Dataset,
     SeparationStatus,
     _expit,
+    _log,
     aggregate_design,
     separation_of_patterns,
 )
@@ -365,13 +370,39 @@ class _Stack(NamedTuple):
     def neg_hessian(self, eta: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minus the log likelihood's Hessians (B, W, W) plus ``prior_diag``, and the fitted probabilities."""
         p = _expit(eta)
-        packed = _ordered_sum(self.pairs * (self.trials * p * (1.0 - p))[:, None])
+        return self.gram(self.trials * p * (1.0 - p), prior_diag), p
+
+    def gram(self, weights: np.ndarray, prior_diag: np.ndarray) -> np.ndarray:
+        """The patterns' Gram matrices (B, W, W) under table row weights ``weights`` (P, B), plus ``prior_diag``."""
+        packed = _ordered_sum(self.pairs * weights[:, None])
         d = self.rows.shape[1]
         i, j, k = _indices(d)
-        hess = np.empty((eta.shape[1], d, d))
+        hess = np.empty((weights.shape[1], d, d))
         hess[:, i, j] = hess[:, j, i] = packed.T
         hess[:, k, k] += prior_diag.T
-        return hess, p
+        return hess
+
+    def data_start(self) -> np.ndarray:
+        """Each fit's first iterate (W, B): one penalised weighted least-squares step from the data.
+
+        The fitted probabilities start at (s + 1/2) / (t + 1) per table row, as GLM fitting starts
+        its IRLS; the prior enters as pseudo-observations at its centre, with its working precision
+        there.  A fit whose leading block of this system is singular, or solves to a non-finite
+        start, starts at the prior centre.
+        """
+        s, t, prior = self.successes, self.trials, self.prior
+        mu = (s + 0.5) / (t + 1.0)
+        weights = t * mu * (1.0 - mu)
+        precision = prior.precision(prior.centre)
+        gram = self.gram(weights, precision)
+        rhs = _ordered_sum(self.rows * (weights * _log((s + 0.5) / (t - s + 0.5)))[:, None])
+        rhs += precision * prior.centre
+        beta = prior.centre.copy()
+        for w, fits in _by_width(self.widths):
+            solved, singular = _each(np.linalg.solve, gram[fits, :w, :w], rhs[:w, fits].T[..., None])
+            start = solved[..., 0].T
+            beta[:w, fits] = np.where(singular | ~np.isfinite(start).all(axis=0), beta[:w, fits], start)
+        return beta
 
 
 @np.errstate(over="ignore")  # see _expit
@@ -387,7 +418,10 @@ def _fit_aggregated(
     ``patterns`` is (B, P, W), ``successes`` and ``trials`` (B, P), and ``terms`` has B rows of W.
     Fit i has ``widths[i]`` coefficients; a narrower table is padded with zero pattern columns whose
     coefficients sit at centre 0 with infinite spread, and every linear solve and Cholesky factor
-    works on a fit's own leading block.  Each fit steps, halves its step, converges (no coefficient
+    works on a fit's own leading block.  Each fit starts from its data (:meth:`_Stack.data_start`),
+    and each sweep solves with the exact negative Hessian; under the t prior a fit whose Hessian
+    block has no Cholesky factor uses the EM working precision in place of the prior's curvature
+    for that sweep.  Each fit steps, halves its step, converges (no coefficient
     moved by ``TOL`` in a sweep) or fails on its own.  The arguments are transposed once, fits last
     (see :class:`_Stack`), so that every sum over table rows or coefficients runs over a leading
     axis, in index order: a score owes no bit to its stack, to zero-trial rows or to padded columns.
@@ -399,7 +433,7 @@ def _fit_aggregated(
     successes, trials = np.ascontiguousarray(successes.T), np.ascontiguousarray(trials.T)
     prior = PriorTerms(np.ascontiguousarray(terms.centre.T), np.ascontiguousarray(terms.spread.T), terms.df)
     stack = _Stack(rows, pairs, successes, trials, widths, prior)
-    beta = prior.centre.copy()
+    beta = stack.data_start()
     current, eta = stack.log_post(beta)
     converged = np.zeros(n_fits, dtype=bool)
     sweeps = np.zeros(n_fits, dtype=np.int64)
@@ -411,7 +445,12 @@ def _fit_aggregated(
         sweeps[active] = sweep
         coef = beta.take(active, axis=1)
         inv_var = run.prior.precision(coef)
-        hess, p = run.neg_hessian(eta.take(active, axis=1), inv_var)
+        if prior.df is None:
+            hess, p = run.neg_hessian(eta.take(active, axis=1), inv_var)
+        else:
+            curvature = run.prior.curvature(coef)
+            hess, p = run.neg_hessian(eta.take(active, axis=1), curvature)
+            _working_precision_where_indefinite(hess, run.widths, inv_var - curvature)
         grad = _ordered_sum(run.rows * (run.successes - run.trials * p)[:, None])
         grad -= (coef - run.prior.centre) * inv_var
         step, singular = np.zeros_like(grad), np.zeros(len(active), dtype=bool)
@@ -448,6 +487,29 @@ def _fit_aggregated(
     for i in scored[~np.isfinite(value)]:
         failure[i] = "non-finite log score"
     return FitStack(beta, neg_hessian, current, log_marginal, converged, sweeps, failure, int(sweeps.max(initial=0)))
+
+
+def _working_precision_where_indefinite(hess: np.ndarray, widths: np.ndarray, extra: np.ndarray) -> None:
+    """Add ``extra`` (W, B) to the diagonal of each of ``hess``'s fits whose leading block has no Cholesky factor.
+
+    One Cholesky factorisation per width checks all of its fits at once.  Only when that raises are
+    the fits told apart: a symmetric matrix has a Cholesky factor when its leading minors are all
+    positive (Sylvester's criterion), and their signs come from batched LU determinants.
+    """
+    for w, fits in _by_width(widths):
+        block = hess[fits, :w, :w]
+        try:
+            np.linalg.cholesky(block)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        # minor j of every fit in one batch: the leading j x j block bordered by the identity
+        k = np.arange(w)
+        leading = (k[:, None, None] >= k) & (k[:, None, None] >= k[:, None])  # (minor, row, column)
+        minors = np.where(leading[:, None], block, np.eye(w))
+        definite = (np.linalg.slogdet(minors)[0] > 0).all(axis=0)
+        rows = fits.start + np.flatnonzero(~definite)
+        hess[rows[:, None], k, k] += extra[:w, rows].T
 
 
 def _laplace_value(

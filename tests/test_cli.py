@@ -120,6 +120,21 @@ class TestErrorHandling:
         assert code == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1\n0,300\n", "line 3: a field must be 0 or 1, got '300'"),
+            ("0,1\n1\n", "line 3: expected 2 fields, got 1"),
+        ],
+    )
+    def test_dataset_field_or_row_width_is_exit_two_and_names_the_line(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("X1,X2\n" + body)
+        code = run_cli("score", "--data", bad, "--prior", "wi", "--out", tmp_path / "cache.csv")
+        assert code == 2
+        assert f"malformed dataset in {bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cache.csv").exists()
+
     def test_malformed_score_cache_is_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "cache.csv"
         bad.write_text(

@@ -262,7 +262,7 @@ class TestFitNode:
             fit = fit_node(X, y, prior)
         assert (X @ fit.coef).min() < -709.0
         ref = scalar_irls_fit(*aggregate_design(X, y), prior)
-        assert fit.converged and ref.converged and fit.iterations == ref.iterations == 12
+        assert fit.converged and ref.converged and fit.iterations == ref.iterations == 4
         assert np.abs(fit.coef - ref.coef).max() <= 1e-9
         assert abs(fit.log_marginal - ref.log_marginal) <= 1e-9
 
@@ -753,6 +753,29 @@ class TestBatchedFit:
         for prior in (GaussianPrior(), StudentTPrior(), StrongGaussianPrior(truth=truth)):
             assert_matches_scalar_reference(build_score_cache(data, prior), prior)
 
+    @pytest.mark.parametrize("name", ["wi", "st", "si"])
+    def test_every_converged_fit_stops_at_a_stationary_point(self, name):
+        # the golden dataset and four random n=5 ones; a converged st saddle is stationary too
+        datasets = [(golden_data(), GOLDEN_TRUTH)]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            truth = AbnParams.balanced(random_dag(5, 0.8, rng))
+            datasets.append((sample(truth, 30 + 20 * seed, rng), truth))
+        for data, truth in datasets:
+            prior = prior_from_name(name, truth=truth)
+            for (node, mask), entry in build_score_cache(data, prior).entries.items():
+                if not entry.converged:
+                    continue
+                X, y = explicit_design(data, node, mask)
+                coef_prior = prior_for_node(prior, node, mask)
+                fit = fit_node(X, y, coef_prior)
+                if isinstance(coef_prior, StudentTPrior):
+                    spec = student_spec(coef_prior, X.shape[1])
+                else:
+                    spec = gaussian_spec(coef_prior, X.shape[1])
+                gradient = ref_log_posterior_grad(fit.coef, X, y, spec)
+                assert np.abs(gradient).max() < 1e-6, (node, mask, gradient)
+
     def test_flat_prior_failures_match_the_scalar_reference(self):
         # separated tables: on a flat prior the iterate runs off until the
         # weighted system is singular, here at the same sweep in both fits
@@ -894,3 +917,25 @@ class TestBatchedFit:
             assert alone.log_marginal[0] == stack.log_marginal[i]
             assert np.array_equal(alone.coef[0], stack.coef[i])
         assert stack.iterations == 200
+
+
+class TestSweepCounts:
+    def test_a_dense_large_shaped_cache_runs_its_pinned_sweeps(self, monkeypatch):
+        # n=7, N=10000, at most 2 parents, as the dense_large benchmark cell: the most sweeps of
+        # each stack, per prior; a change to how the fits start or step moves them
+        rng = np.random.default_rng(0)
+        truth = AbnParams.balanced(random_dag(7, 0.8, rng))
+        data = sample(truth, 10_000, rng)
+        iterations = {}
+        for name in ("wi", "st", "si"):
+            stacks = iterations[name] = []
+
+            def fit(*args):
+                stack = _fit_aggregated(*args)
+                stacks.append(stack.iterations)
+                return stack
+
+            monkeypatch.setattr(score_module, "_fit_aggregated", fit)
+            build_score_cache(data, prior_from_name(name, truth=truth), 2)
+            monkeypatch.undo()
+        assert iterations == {"wi": [5], "st": [5], "si": [6]}
