@@ -399,9 +399,9 @@ class _Stack(NamedTuple):
         rhs += precision * prior.centre
         beta = prior.centre.copy()
         for w, fits in _by_width(self.widths):
-            solved, singular = _each(np.linalg.solve, gram[fits, :w, :w], rhs[:w, fits].T[..., None])
-            start = solved[..., 0].T
-            beta[:w, fits] = np.where(singular | ~np.isfinite(start).all(axis=0), beta[:w, fits], start)
+            solved, _ = _each(np.linalg.solve, gram[fits, :w, :w], rhs[:w, fits].T[..., None])
+            start = solved[..., 0].T  # nan where singular
+            beta[:w, fits] = np.where(np.isfinite(start).all(axis=0), start, beta[:w, fits])
         return beta
 
 
