@@ -19,6 +19,7 @@ from ._util import atomic_write_text
 from .data import AbnParams, Dataset, SeparationStatus, sample
 from .experiments import (
     StudyConfig,
+    bad_hyperparameters,
     results_from_csv,
     results_to_csv,
     run_study,
@@ -120,6 +121,9 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_score(args) -> None:
+    if bad := bad_hyperparameters(args):
+        flags = ", ".join("--" + name.replace("_", "-") for name in bad)
+        raise CliError(2, f"abn-forge score: {flags} must be finite and positive")
     dataset = _parse(args.data, Dataset.from_csv, "dataset")
     truth = None
     if args.prior == "si":

@@ -356,10 +356,11 @@ def separation_of_patterns(
     for an observed failure): complete separation means some b satisfies
     u'b > 0 for every row, quasi-complete means some b != 0 satisfies
     u'b >= 0 for every row.  A pattern with both outcomes contributes +x and
-    -x, forcing x'b = 0, which rules complete separation out immediately and
-    confines weak separators to the null space of the mixed patterns; the
-    remaining questions are settled by small HiGHS linear programs (see
-    :func:`_strict_margin` and :func:`_weak_slack`) and SVD rank checks.
+    -x, which pins x'b = 0 inside the linear programs: complete separation is
+    then ruled out, and mixed patterns of full column rank leave only b = 0.
+    Otherwise a rank-deficient design separates weakly along a flat direction,
+    and small HiGHS linear programs (:func:`_strict_margin`, :func:`_weak_slack`)
+    settle the rest.
 
     A one-sided response (all successes or all failures, including the empty
     design) is complete by convention: any direction through the intercept
@@ -373,42 +374,14 @@ def separation_of_patterns(
         return SeparationStatus.COMPLETE
     d = patterns.shape[1]
     mixed = pos & neg
-
-    if not mixed.any():
-        signed = np.vstack([patterns[pos], -patterns[neg]])
-        if _strict_margin(signed) > _LP_TOL:
-            return SeparationStatus.COMPLETE
-        if _weak_slack(signed) > _LP_TOL:
-            return SeparationStatus.QUASI_COMPLETE
-        if np.linalg.matrix_rank(patterns) < d:
-            return SeparationStatus.QUASI_COMPLETE
+    if mixed.any() and np.linalg.matrix_rank(patterns[mixed]) == d:
         return SeparationStatus.NONE
-
-    # A mixed pattern pins x'b = 0, so only weak separation remains possible,
-    # and only inside the null space of the mixed patterns.
-    null_basis = _null_space(patterns[mixed])
-    if null_basis.shape[1] == 0:
-        return SeparationStatus.NONE
-    pure = ~mixed
-    if not pure.any():
-        return SeparationStatus.QUASI_COMPLETE  # any null direction separates weakly
-    sign = np.where(successes[pure] > 0, 1.0, -1.0)
-    projected = (patterns[pure] * sign[:, None]) @ null_basis
-    if _weak_slack(projected) > _LP_TOL:
-        return SeparationStatus.QUASI_COMPLETE
-    # all-equality separators are flat directions of the full design
-    if np.linalg.matrix_rank(patterns) < d:
+    signed = np.vstack([patterns[pos], -patterns[neg]])
+    if not mixed.any() and _strict_margin(signed) > _LP_TOL:
+        return SeparationStatus.COMPLETE
+    if np.linalg.matrix_rank(patterns) < d or _weak_slack(signed) > _LP_TOL:
         return SeparationStatus.QUASI_COMPLETE
     return SeparationStatus.NONE
-
-
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of ``rows`` (columns of the result)."""
-    m, d = rows.shape
-    _, sv, vt = np.linalg.svd(rows)
-    tol = (sv.max() * max(m, d) * np.finfo(float).eps) if len(sv) and sv.max() > 0 else 0.0
-    rank = int((sv > tol).sum())
-    return vt[rank:].T
 
 
 def _strict_margin(signed: np.ndarray) -> float:
@@ -434,8 +407,6 @@ def _weak_slack(signed: np.ndarray) -> float:
     from scipy.optimize import linprog
 
     signed = np.unique(signed, axis=0)
-    if signed.shape[1] == 0:
-        return 0.0
     res = linprog(
         c=-signed.sum(axis=0),
         A_ub=-signed,

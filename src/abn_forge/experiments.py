@@ -43,6 +43,14 @@ LINDLEY = "lindley"
 
 _STUDY_PRIORS = {SEPARATION: ("wi", "st"), LINDLEY: ("wi", "st", "si")}
 
+# each is a study config field and an ``abn-forge score`` flag, and must be finite and positive
+PRIOR_HYPERPARAMETERS = ("wi_variance", "st_df", "st_scale", "st_intercept_scale", "si_variance", "si_absent_variance")
+
+
+def bad_hyperparameters(values) -> list[str]:
+    """The names in ``PRIOR_HYPERPARAMETERS`` whose attribute of ``values`` is not finite and positive."""
+    return [name for name in PRIOR_HYPERPARAMETERS if not (math.isfinite(v := getattr(values, name)) and v > 0)]
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -89,10 +97,9 @@ class StudyConfig:
             raise ValueError(f"max_parents must be in 0..{self.n_nodes - 1}")
         if not all(math.isfinite(v) for v in (self.edge_coef, self.intercept or 0.0)):
             raise ValueError("edge_coef and intercept must be finite")
-        hyper = ("wi_variance", "st_df", "st_scale", "st_intercept_scale", "si_variance", "si_absent_variance")
-        for name in hyper:
+        for name in PRIOR_HYPERPARAMETERS:
             object.__setattr__(self, name, as_float(getattr(self, name), name))
-        if bad := [name for name in hyper if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0)]:
+        if bad := bad_hyperparameters(self):
             raise ValueError(f"prior hyperparameters must be finite and positive: {', '.join(bad)}")
         if not self.densities or not all(0.0 < d <= 1.0 for d in self.densities):
             raise ValueError("densities must be a nonempty subset of (0, 1]")
@@ -117,39 +124,18 @@ class StudyConfig:
                 raise ValueError(f"{name} must not repeat a value")
 
     def to_json(self) -> str:
-        obj = {
-            "study": self.study,
-            "n_nodes": self.n_nodes,
-            "densities": list(self.densities),
-            "sample_sizes": list(self.sample_sizes),
-            "replicates": self.replicates,
-            "priors": list(self.priors),
-            "edge_coef": self.edge_coef,
-            "intercept": self.intercept,
-            "master_seed": self.master_seed,
-            "wi_variance": self.wi_variance,
-            "st_df": self.st_df,
-            "st_scale": self.st_scale,
-            "st_intercept_scale": self.st_intercept_scale,
-            "si_variance": self.si_variance,
-            "si_absent_variance": self.si_absent_variance,
-        }
-        if self.max_parents is not None:
-            obj["max_parents"] = self.max_parents
-        if self.replicate_ids is not None:
-            obj["replicate_ids"] = list(self.replicate_ids)
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("max_parents", "replicate_ids"):  # left out when unset, as in a hand-written file
+            if obj[name] is None:
+                del obj[name]
         return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
         obj = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown study config keys: {sorted(unknown)}")
-        for key in ("densities", "sample_sizes", "priors", "replicate_ids"):
-            if key in obj and obj[key] is not None:
-                obj[key] = tuple(obj[key])
         return cls(**obj)
 
 

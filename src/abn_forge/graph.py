@@ -193,8 +193,7 @@ class Cpdag:
                 raise ValueError(f"undirected edge ({a}, {b}) must satisfy 0 <= a < b < n")
             if (a, b) in pairs:
                 raise ValueError(f"pair ({a}, {b}) is both directed and undirected")
-        dir_pairs = {(min(a, b), max(a, b)) for a, b in self.directed}
-        if len(dir_pairs) != len(self.directed):
+        if len(pairs) != len(self.directed):
             raise ValueError("directed edge set contains a two-cycle")
 
     def edge_count(self) -> int:

@@ -180,6 +180,22 @@ class TestErrorHandling:
         assert not (tmp_path / "cache.csv").exists()
 
     @pytest.mark.parametrize(
+        "prior, flag, value",
+        [("wi", "--wi-variance", "inf"), ("st", "--st-scale", "inf"), ("st", "--st-intercept-scale", "1e400"),
+         ("si", "--si-variance", "inf"), ("si", "--si-absent-variance", "-1"), ("wi", "--st-df", "0")],
+    )
+    def test_hyperparameter_a_study_config_rejects_is_exit_two_and_writes_nothing(
+        self, tmp_path, capsys, chain_params_file, prior, flag, value
+    ):
+        data = tmp_path / "data.csv"
+        data.write_text("X1,X2,X3\n0,1,1\n1,0,0\n1,1,0\n")
+        code = run_cli("score", "--data", data, "--prior", prior, "--si-truth", chain_params_file,
+                       flag, value, "--out", tmp_path / "cache.csv")
+        assert code == 2
+        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "cache.csv").exists()
+
+    @pytest.mark.parametrize(
         "text, field",
         [
             ('{"n": 2, "edges": [{"from": 0, "to": 1, "coef": "5"}]}', "coef"),

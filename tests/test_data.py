@@ -1,5 +1,6 @@
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -297,6 +298,28 @@ class TestSeparationStatus:
     def test_intercept_only_mixed_is_none(self):
         X, y = design([], [0, 1, 1, 0])
         assert separation_of_design(X, y) == SeparationStatus.NONE
+
+    @pytest.mark.parametrize(
+        "xcols, y, status, lps",
+        [
+            ([[0, 0, 1, 1]], [0, 0, 1, 1], SeparationStatus.COMPLETE, ["_strict_margin"]),
+            ([[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]], [0, 1, 1, 0], SeparationStatus.QUASI_COMPLETE, ["_strict_margin"]),
+            ([[0, 0, 1, 1]], [0, 1, 0, 1], SeparationStatus.NONE, []),
+            ([[0, 0, 1, 1]], [0, 1, 1, 1], SeparationStatus.QUASI_COMPLETE, ["_weak_slack"]),
+            ([[0, 0, 1, 1], [0, 0, 1, 1]], [0, 1, 1, 1], SeparationStatus.QUASI_COMPLETE, []),
+        ],
+        ids=["pure-strict", "pure-flat", "mixed-full-rank", "mixed-weak", "mixed-flat"],
+    )
+    def test_linear_programs_run_only_where_the_rank_leaves_the_answer_open(self, monkeypatch, xcols, y, status, lps):
+        # a mixed pattern rules complete separation out, and a rank-deficient design is quasi-complete
+        calls = Counter()
+        for name in ("_strict_margin", "_weak_slack"):
+            lp = getattr(data_module, name)
+            monkeypatch.setattr(data_module, name, lambda signed, name=name, lp=lp: calls.update([name]) or lp(signed))
+        X, y = design(xcols, y)
+        assert separation_of_design(X, y) == status
+        assert status.value == fm_separation(X, y)
+        assert calls == Counter(lps)
 
     def test_parent_table_classifies_the_named_column(self, collider_params):
         data = sample(collider_params, 200, np.random.default_rng(8))

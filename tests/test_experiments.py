@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestStudyConfig:
         config = tiny_separation_config(intercept=0.5, max_parents=2, replicate_ids=(0,))
         again = StudyConfig.from_json(config.to_json())
         assert again == config
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda path: path.name
+    )
+    def test_shipped_config_reads_back_to_its_own_bytes(self, path):
+        text = path.read_text()
+        assert StudyConfig.from_json(text).to_json() == text
 
     def test_default_intercept_serializes_as_null(self):
         config = tiny_separation_config()
