@@ -146,7 +146,7 @@ def _cmd_score(args) -> None:
         raise CliError(2, str(exc)) from exc
     atomic_write_text(args.out, cache.to_csv())
     # to_csv classified every entry, so the tally reads the statuses it wrote
-    tally = Counter(cache.separation(node, mask) for node, mask in cache.entries)
+    tally = Counter(map(cache.separation, cache.nodes.tolist(), cache.masks.tolist()))
     separation = ", ".join(f"{tally[status]} {status.value}" for status in SeparationStatus)
     print(
         f"wrote {args.out}: {cache.total_entries()} entries for {cache.n_vars} nodes "

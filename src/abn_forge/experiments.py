@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -194,19 +193,10 @@ def _run_cell(
     label = _cell_label(config, density, n_obs)
 
     def failure_row(prior_name: str, message: str) -> ResultRow:
+        nan = float("nan")
         return ResultRow(
-            study=config.study,
-            prior_name=prior_name,
-            density=density,
-            n_obs=n_obs,
-            replicate=replicate,
-            tpr=float("nan"),
-            fpr=float("nan"),
-            tnr=float("nan"),
-            edges_true=0,
-            edges_fitted=0,
-            normalized_parents=float("nan"),
-            note=f"error: {message}",
+            config.study, prior_name, density, n_obs, replicate, tpr=nan, fpr=nan, tnr=nan,
+            edges_true=0, edges_fitted=0, normalized_parents=nan, note=f"error: {message}",
         )
 
     try:
@@ -320,6 +310,8 @@ def run_study(
         for task in tasks:
             rows.extend(_run_cell_task(task))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which workers=1 never needs
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             for chunk in pool.map(_run_cell_task, tasks):
                 rows.extend(chunk)

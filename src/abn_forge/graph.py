@@ -30,12 +30,7 @@ class CyclicGraphError(ValueError):
 
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _bit_columns(masks: np.ndarray, n: int) -> np.ndarray:

@@ -38,11 +38,12 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
-from ._util import csv_text
+from ._util import as_int, csv_text
 from .data import (
     _CHUNK,
     AbnParams,
@@ -536,10 +537,13 @@ class CacheEntry:
 _CACHE_COLUMNS = ["node", "parent_mask", "log_score", "converged", "separation"]
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreCache:
-    """Log scores for every (node, parent mask) pair up to a parent-count cap.
+    """Log scores for (node, parent mask) pairs up to a parent-count cap, as flat arrays.
 
+    Entry i scores node ``nodes[i]`` on parent mask ``masks[i]``; the entries run node-major with
+    masks ascending, the order of :func:`parent_masks`, so their keys ``node << n_vars | mask``
+    ascend.  A cache built in code may leave keys out, and the search never picks them.
     The separation status of an entry is not needed to score or search, so a
     cache built from data classifies an entry's table only when
     :meth:`separation` asks for it, and keeps the answer in ``separations``.
@@ -548,22 +552,41 @@ class ScoreCache:
 
     n_vars: int
     max_parents: int
-    entries: dict[tuple[int, int], CacheEntry]
+    nodes: np.ndarray
+    masks: np.ndarray
+    log_score: np.ndarray
+    converged: np.ndarray
     diagnostics: list[tuple[int, int, str]] = field(default_factory=list)
     prior_label: str = ""
     separations: dict[tuple[int, int], SeparationStatus] = field(default_factory=dict)
-    data: Dataset | None = field(default=None, repr=False, compare=False)
+    data: Dataset | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.nodes, self.masks = (np.asarray(a, dtype=np.int64) for a in (self.nodes, self.masks))
+        self.log_score, self.converged = np.asarray(self.log_score, dtype=float), np.asarray(self.converged, dtype=bool)
+        self._keys = self.nodes << self.n_vars | self.masks  # what score() looks up
+        if not len(self._keys) == len(self.log_score) == len(self.converged) or (np.diff(self._keys) <= 0).any():
+            raise ValueError("cache arrays must have one row per entry, in ascending (node, mask) order")
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], CacheEntry]:
+        """A read-only ``(node, mask) -> CacheEntry`` view of the arrays, built anew on each access."""
+        entries = map(CacheEntry, self.log_score.tolist(), self.converged.tolist())
+        return MappingProxyType(dict(zip(zip(self.nodes.tolist(), self.masks.tolist()), entries)))
 
     def score(self, node: int, parent_mask: int) -> float:
-        return self.entries[(node, parent_mask)].log_score
+        """The log score of (node, parent_mask); ``KeyError`` when the cache has none."""
+        i = int(np.searchsorted(self._keys, node << self.n_vars | parent_mask))
+        if i < len(self._keys) and self.nodes[i] == node and self.masks[i] == parent_mask:
+            return float(self.log_score[i])
+        raise KeyError((node, parent_mask))
 
     def separation(self, node: int, parent_mask: int) -> SeparationStatus:
         """Albert-Anderson status of one entry's table, classified on first request."""
         key = (node, parent_mask)
         status = self.separations.get(key)
         if status is None:
-            if key not in self.entries:
-                raise KeyError(key)
+            self.score(node, parent_mask)  # a KeyError for an uncached key
             if self.data is None:
                 raise ValueError(f"no separation status for {key} and no data to classify it")
             table = self.data.parent_table(node, parent_mask)
@@ -571,27 +594,28 @@ class ScoreCache:
         return status
 
     def total_entries(self) -> int:
-        return len(self.entries)
+        return len(self.log_score)
 
     def to_csv(self) -> str:
         comments = {"n_vars": self.n_vars, "max_parents": self.max_parents}
         if self.prior_label:
             comments["prior"] = self.prior_label
+        columns = (a.tolist() for a in (self.nodes, self.masks, self.log_score, self.converged))
         rows = (
-            [node, mask, entry.log_score, "true" if entry.converged else "false", self.separation(node, mask).value]
-            for (node, mask), entry in sorted(self.entries.items())
+            [node, mask, score, "true" if ok else "false", self.separation(node, mask).value]
+            for node, mask, score, ok in zip(*columns)
         )
         return csv_text(_CACHE_COLUMNS, rows, comments.items())
 
     @classmethod
     def from_csv(cls, text: str) -> "ScoreCache":
-        """Read a cache written by :meth:`to_csv`.
+        """Read a cache written by :meth:`to_csv`, its lines in any order.
 
-        A malformed line, a ``max_parents`` above ``n_vars - 1``, or a parent
-        set under ``max_parents`` with no line raises ``ValueError``.
+        A malformed or repeated line, a ``max_parents`` above ``n_vars - 1``,
+        or a parent set under ``max_parents`` with no line raises ``ValueError``.
         """
         sizes: dict[str, int] = {}
-        prior_label = ""
+        prior_label = repeated = ""  # a repeated size is reported after the range check, which reads the last one
         rows = []
         for number, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
@@ -604,6 +628,8 @@ class ScoreCache:
                             f"line {number}: {key} must be an integer in {least}..{MAX_NODES}, "
                             f"got {value!r}"
                         )
+                    if key in sizes and not repeated:
+                        repeated = f"line {number}: repeated '# {key}:' comment"
                     sizes[key] = int(value)
                 elif key == "prior":
                     prior_label = value.strip()
@@ -617,11 +643,13 @@ class ScoreCache:
         n_vars, max_parents = sizes["n_vars"], sizes["max_parents"]
         if max_parents > n_vars - 1:
             raise ValueError(f"max_parents must lie in 0..{n_vars - 1}")
+        if repeated:
+            raise ValueError(repeated)
         (number, header), *rows = rows
         if header != _CACHE_COLUMNS:
             expected = ",".join(_CACHE_COLUMNS)
             raise ValueError(f"line {number}: expected header {expected}, got {','.join(header)}")
-        parsed = []
+        entries: dict[tuple[int, int], tuple[float, bool, SeparationStatus]] = {}
         for number, row in rows:
             try:
                 if len(row) != len(_CACHE_COLUMNS):
@@ -631,42 +659,33 @@ class ScoreCache:
                 log_score = float(row[2])
                 if math.isnan(log_score) or log_score == math.inf:
                     raise ValueError(f"log_score must be finite or -inf, got {row[2]!r}")
-                entry = CacheEntry(log_score=log_score, converged=row[3] == "true")
-                parsed.append((number, int(row[0]), int(row[1]), entry, SeparationStatus(row[4])))
+                node, mask, status = int(row[0]), int(row[1]), SeparationStatus(row[4])
+                # the search indexes its tables by (node, mask), so a stray key
+                # would land in another node's row
+                if not 0 <= node < n_vars:
+                    raise ValueError(f"node {node} is not in 0..{n_vars - 1}")
+                if not 0 <= mask < 1 << n_vars:
+                    raise ValueError(f"parent mask {mask} has bits beyond {n_vars} variables")
+                if (mask >> node) & 1:
+                    raise ValueError(f"parent mask {mask} contains node {node} itself")
+                if mask.bit_count() > max_parents:
+                    raise ValueError(f"parent mask {mask} has more than {max_parents} parents")
+                if (node, mask) in entries:
+                    raise ValueError(f"duplicate entry for node {node}, parent mask {mask}")
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from exc
-        entries: dict[tuple[int, int], CacheEntry] = {}
-        separations: dict[tuple[int, int], SeparationStatus] = {}
-        for number, node, mask, entry, status in parsed:
-            # the search indexes its tables by (node, mask), so a stray key
-            # would land in another node's row
-            if not 0 <= node < n_vars:
-                problem = f"node {node} is not in 0..{n_vars - 1}"
-            elif not 0 <= mask < 1 << n_vars:
-                problem = f"parent mask {mask} has bits beyond {n_vars} variables"
-            elif (mask >> node) & 1:
-                problem = f"parent mask {mask} contains node {node} itself"
-            elif mask.bit_count() > max_parents:
-                problem = f"parent mask {mask} has more than {max_parents} parents"
-            elif (node, mask) in entries:
-                problem = f"duplicate entry for node {node}, parent mask {mask}"
-            else:
-                problem = None
-            if problem:
-                raise ValueError(f"line {number}: {problem}")
-            entries[(node, mask)] = entry
-            separations[(node, mask)] = status
+            entries[(node, mask)] = (log_score, row[3] == "true", status)
         # a missing set would silently drop out of the search
         for node in range(n_vars):
             for mask in parent_masks(n_vars, node, max_parents):
                 if (node, mask) not in entries:
                     raise ValueError(f"missing entry for node {node}, parent mask {mask}")
+        keys = sorted(entries)
+        log_score, converged, statuses = zip(*map(entries.get, keys))
+        nodes, masks = np.array(keys).T
         return cls(
-            n_vars=n_vars,
-            max_parents=max_parents,
-            entries=entries,
-            prior_label=prior_label,
-            separations=separations,
+            n_vars, max_parents, nodes, masks, log_score, converged,
+            prior_label=prior_label, separations=dict(zip(keys, statuses)),
         )
 
 
@@ -759,18 +778,18 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     n = data.n_vars
     if n < 1:
         raise ValueError("dataset needs at least one variable")
-    if max_parents is None:
-        max_parents = n - 1
+    max_parents = n - 1 if max_parents is None else as_int(max_parents, "max_parents")
     if not 0 <= max_parents <= n - 1:
         raise ValueError(f"max_parents must lie in 0..{n - 1}")
     if isinstance(prior, StrongGaussianPrior) and prior.truth.n != n:
         raise ValueError("informed prior truth has a different variable count")
 
-    keys = [(node, mask) for node in range(n) for mask in parent_masks(n, node, max_parents)]
-    nodes, masks = np.array(keys, dtype=np.int64).T
-    sizes = np.array([mask.bit_count() for _, mask in keys])
+    per_node = [parent_masks(n, node, max_parents) for node in range(n)]
+    nodes = np.repeat(np.arange(n, dtype=np.int64), [len(masks) for masks in per_node])
+    masks = np.concatenate(per_node).astype(np.int64, copy=False)
+    sizes = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
     groups: list[_Distinct] = []
-    distinct, start = np.empty(len(keys), dtype=np.int64), 0  # the number of each key's distinct fit
+    distinct, start = np.empty(len(masks), dtype=np.int64), 0  # the number of each key's distinct fit
     for size in range(max_parents + 1):
         at = np.flatnonzero(sizes == size)
         patterns, successes, trials = data.parent_tables(nodes[at], masks[at])
@@ -789,18 +808,13 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     fits = [_fit_aggregated(*_stack(groups, lo, hi)) for lo, hi in _chunks(groups)]
     log_score = np.concatenate([fit.log_marginal for fit in fits])[distinct]
     converged = np.concatenate([fit.converged for fit in fits])[distinct]
-    failure = np.concatenate([fit.failure for fit in fits])[distinct]
-
-    entries = {key: CacheEntry(float(log_score[i]), bool(converged[i])) for i, key in enumerate(keys)}
-    diagnostics = [(node, mask, str(failure[i])) for i, (node, mask) in enumerate(keys) if failure[i]]
-    return ScoreCache(
-        n_vars=n,
-        max_parents=max_parents,
-        entries=entries,
-        diagnostics=diagnostics,
-        prior_label=prior.describe(),
-        data=data,
-    )
+    # a fit scores -inf exactly when it failed (see NodeFit), so only those rows read a message
+    failure = [message for fit in fits for message in fit.failure]
+    failed = np.flatnonzero(log_score == -np.inf)
+    diagnostics = [
+        (node, mask, failure[i]) for node, mask, i in zip(*(a[failed].tolist() for a in (nodes, masks, distinct)))
+    ]
+    return ScoreCache(n, max_parents, nodes, masks, log_score, converged, diagnostics, prior.describe(), data=data)
 
 
 def prior_from_name(

@@ -23,9 +23,10 @@ the table (2 MB) and the rank table (2.4 MB) no longer fit a 2 MB L2 cache.
 Its traced allocations peak at about 12 bytes per subset at n=16-20 (8 for
 that float, the rest a transposed copy of the widest layer of rows and the
 value arrays of one step).  A search at n=18 with at most 2 parents takes
-about 0.035 s on a 2-core x86 host (Python 3.11, numpy 2.4), and the hard
-cap of 24 is a statement about the types, not the wall clock.  Ties are
-broken deterministically: lowest sink index, then lowest parent bitmask.
+about 0.034 s (medians of 7 processes: 0.030-0.037 s) on a shared 2-core x86
+host (Python 3.11.7, numpy 2.4.6), and the hard cap of 24 is a statement
+about the types, not the wall clock.  Ties are broken deterministically:
+lowest sink index, then lowest parent bitmask.
 """
 
 from __future__ import annotations
@@ -78,10 +79,8 @@ def _subset_min(rows: np.ndarray, bits) -> None:
 def best_parent_sets(cache: ScoreCache) -> BestParentTable:
     """Rank every node's finite entries, then sweep subset minima of the ranks in place."""
     n = cache.n_vars
-    keys = np.array(list(cache.entries), dtype=np.int64).reshape(-1, 2)
-    scores = np.array([entry.log_score for entry in cache.entries.values()], dtype=float)
-    finite = scores > -np.inf
-    nodes, masks, scores = keys[finite, 0], keys[finite, 1], scores[finite]
+    finite = cache.log_score > -np.inf
+    nodes, masks, scores = cache.nodes[finite], cache.masks[finite], cache.log_score[finite]
     order = np.lexsort((masks, -scores, nodes))
     nodes, masks, scores = nodes[order], masks[order], scores[order]
     counts = np.bincount(nodes, minlength=n)

@@ -182,6 +182,14 @@ def cpdag_oracle(n: int, parent_masks: tuple[int, ...]) -> tuple[set, set]:
     return directed, undirected
 
 
+def cache_from_scores(n_vars: int, max_parents: int, scores: dict[tuple[int, int], float]) -> ScoreCache:
+    """A hand-built cache with no data: one converged entry per ``(node, mask): score`` item."""
+    keys = sorted(scores)
+    nodes, masks = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    log_score = [float(scores[key]) for key in keys]
+    return ScoreCache(n_vars, max_parents, nodes, masks, log_score, np.ones(len(keys), dtype=bool))
+
+
 def brute_force_search(cache: ScoreCache) -> SearchResult:
     """Reference optimum by enumerating parent-set combinations, n <= 5 only.
 
@@ -195,9 +203,8 @@ def brute_force_search(cache: ScoreCache) -> SearchResult:
         raise ValueError("brute force enumeration is for n <= 5")
     options: list[list[tuple[int, float]]] = []
     for node in range(n):
-        node_options = sorted(
-            (m, entry.log_score) for (j, m), entry in cache.entries.items() if j == node
-        )
+        at = cache.nodes == node
+        node_options = sorted(zip(cache.masks[at].tolist(), cache.log_score[at].tolist()))
         if not node_options:
             raise ValueError(f"cache has no entries for node {node}")
         options.append(node_options)
@@ -237,9 +244,8 @@ def reference_best_parent_sets(cache: ScoreCache) -> tuple[np.ndarray, np.ndarra
     size = 1 << n
     score = np.full((n, size), -np.inf)
     mask = np.zeros((n, size), dtype=np.int64)
-    for (node, bits), entry in cache.entries.items():
-        score[node, bits] = entry.log_score
-        mask[node, bits] = bits
+    score[cache.nodes, cache.masks] = cache.log_score
+    mask[cache.nodes, cache.masks] = cache.masks
     for row_score, row_mask in zip(score, mask):
         for b in range(n):
             s = row_score.reshape(-1, 2, 1 << b)

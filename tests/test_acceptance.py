@@ -13,10 +13,8 @@ import pytest
 from scipy.special import expit
 
 from abn_forge import (
-    CacheEntry,
     Dag,
     GaussianPrior,
-    ScoreCache,
     StudentTPrior,
     exact_search,
     fit_node,
@@ -24,7 +22,6 @@ from abn_forge import (
     to_cpdag,
 )
 from abn_forge.experiments import StudyConfig, results_to_csv, run_study
-from abn_forge.score import parent_masks
 from oracles import (
     brute_force_search,
     cpdag_oracle,
@@ -33,6 +30,7 @@ from oracles import (
     newton_mle,
     quad_log_marginal,
 )
+from test_search import random_cache
 
 SEPARATION_CONFIG = StudyConfig(
     study="separation",
@@ -57,17 +55,6 @@ LINDLEY_CONFIG = StudyConfig(
 
 def report(number: int, label: str, ok: bool, elapsed: float) -> None:
     print(f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'} [{elapsed:.1f}s]")
-
-
-def random_cache(n_vars: int, rng) -> ScoreCache:
-    entries = {}
-    for node in range(n_vars):
-        for mask in parent_masks(n_vars, node, n_vars - 1):
-            entries[(node, mask)] = CacheEntry(
-                log_score=float(rng.normal(scale=3.0)),
-                converged=True,
-            )
-    return ScoreCache(n_vars=n_vars, max_parents=n_vars - 1, entries=entries)
 
 
 @pytest.fixture(scope="module")

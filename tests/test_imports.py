@@ -1,4 +1,4 @@
-"""What ``import abn_forge`` loads: numpy, and scipy only once a separation LP runs.
+"""What ``import abn_forge`` loads: numpy, scipy only once a separation LP runs, and a process pool only for workers > 1.
 
 The test process itself has scipy loaded (``tests/oracles.py`` uses it), so
 the check runs in a fresh interpreter.
@@ -29,6 +29,8 @@ config = StudyConfig(
 )
 rows = run_study(config, workers=1)
 assert len(rows) == 2 and not any(row.note.startswith("error:") for row in rows), rows
+# a process pool is imported only when one runs
+assert "concurrent.futures.process" not in sys.modules
 truth = AbnParams.balanced(Dag.from_edges(3, [(0, 1), (1, 2)]))
 cache = build_score_cache(sample(truth, 40, np.random.default_rng(0)), prior_from_name("st"))
 exact_search(cache)

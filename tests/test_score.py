@@ -30,6 +30,7 @@ from abn_forge import score as score_module
 from abn_forge.experiments import StudyConfig, run_study
 from abn_forge.score import PriorTerms, _fit_aggregated, _laplace_value, parent_masks
 from oracles import (
+    cache_from_scores,
     explicit_design,
     gauss_hermite_log_marginal,
     newton_mle,
@@ -384,6 +385,47 @@ class TestScoreCache:
         with pytest.raises(KeyError):
             cache.score(0, 0b0110)
 
+    @pytest.mark.parametrize("max_parents", [True, 1.0])
+    def test_max_parents_must_be_an_integer(self, small_study_data, max_parents):
+        _, _, data = small_study_data
+        with pytest.raises(ValueError, match="max_parents must be an integer"):
+            build_score_cache(data, GaussianPrior(), max_parents=max_parents)
+
+    def test_a_capped_cache_reads_back(self, small_study_data):
+        _, _, data = small_study_data
+        text = build_score_cache(data, GaussianPrior(), max_parents=np.int64(1)).to_csv()
+        assert "# max_parents: 1\n" in text
+        assert ScoreCache.from_csv(text).to_csv() == text
+
+    def test_entries_are_a_read_only_view(self, small_study_data):
+        _, _, data = small_study_data
+        cache = build_score_cache(data, GaussianPrior(), max_parents=1)
+        entries = cache.entries
+        assert len(entries) == cache.total_entries() == 16
+        assert entries[(2, 0b0001)] == CacheEntry(cache.score(2, 0b0001), True)
+        with pytest.raises(TypeError):
+            entries[(2, 0b0001)] = CacheEntry(0.0, True)
+        with pytest.raises(TypeError):
+            del entries[(0, 0)]
+
+    # (0, 0b10000) and (1, 0b10000) share the lookup key of (1, 0) but are not cached
+    @pytest.mark.parametrize("key", [(0, 0b0110), (0, 0b0001), (4, 0), (-1, 0), (0, 0b10000), (1, 0b10000)])
+    def test_an_uncached_key_raises_key_error(self, small_study_data, key):
+        _, _, data = small_study_data
+        cache = build_score_cache(data, GaussianPrior(), max_parents=1)
+        with pytest.raises(KeyError):
+            cache.score(*key)
+        with pytest.raises(KeyError):
+            cache.separation(*key)
+
+    def test_hand_built_arrays_run_in_key_order(self):
+        with pytest.raises(ValueError, match="ascending"):
+            ScoreCache(2, 1, [1, 0], [0, 0], [0.0, 0.0], [True, True])
+        with pytest.raises(ValueError, match="ascending"):
+            ScoreCache(2, 1, [0, 0], [1, 1], [0.0, 0.0], [True, True])
+        with pytest.raises(ValueError, match="one row per entry"):
+            ScoreCache(2, 1, [0, 1], [0, 0], [0.0], [True, True])
+
     def test_entries_match_single_fits(self, small_study_data):
         _, params, data = small_study_data
         for name in ("wi", "st", "si"):
@@ -474,6 +516,20 @@ class TestScoreCache:
         keys = [f"{node},{mask}" for node in range(3) for mask in parent_masks(3, node, 1)]
         rows = [f"{key},-1.0,true,none" for key in keys if key not in dropped]
         text = "\n".join(["# n_vars: 3", "# max_parents: 1", CACHE_HEADER, *rows]) + "\n"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScoreCache.from_csv(text)
+
+    @pytest.mark.parametrize(
+        "comments, message",
+        [
+            (["# n_vars: 2", "# max_parents: 0", "# n_vars: 1"], "line 3: repeated '# n_vars:' comment"),
+            (["# n_vars: 1", "# max_parents: 0", "# prior: x", "# max_parents: 0"],
+             "line 4: repeated '# max_parents:' comment"),
+        ],
+    )
+    def test_from_csv_rejects_a_repeated_size_comment(self, comments, message):
+        # either file would read as a one-variable cache if the last comment won
+        text = "\n".join([*comments, CACHE_HEADER, "0,0,-1.0,true,none"]) + "\n"
         with pytest.raises(ValueError, match=f"^{message}$"):
             ScoreCache.from_csv(text)
 
@@ -586,7 +642,7 @@ class TestSeparationOnDemand:
         assert seen == set(SeparationStatus)
 
     def test_hand_built_cache_without_data_cannot_classify(self):
-        cache = ScoreCache(n_vars=1, max_parents=0, entries={(0, 0): CacheEntry(0.0, True)})
+        cache = cache_from_scores(1, 0, {(0, 0): 0.0})
         with pytest.raises(ValueError, match="no data"):
             cache.separation(0, 0)
         with pytest.raises(KeyError):

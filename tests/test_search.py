@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abn_forge import (
-    CacheEntry,
     Dag,
     ScoreCache,
     best_parent_sets,
@@ -17,6 +17,7 @@ from abn_forge import (
 from abn_forge.score import parent_masks
 from oracles import (
     brute_force_search,
+    cache_from_scores,
     full_mask_tables,
     reference_best_parent_sets,
     reference_exact_search,
@@ -27,21 +28,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def random_cache(n_vars, rng, max_parents=None, draw=lambda rng: rng.normal(scale=3.0)):
     cap = n_vars - 1 if max_parents is None else max_parents
-    entries = {}
-    for node in range(n_vars):
-        for mask in parent_masks(n_vars, node, cap):
-            entries[(node, mask)] = CacheEntry(log_score=float(draw(rng)), converged=True)
-    return ScoreCache(n_vars=n_vars, max_parents=cap, entries=entries)
+    keys = [(node, mask) for node in range(n_vars) for mask in parent_masks(n_vars, node, cap)]
+    return cache_from_scores(n_vars, cap, {key: draw(rng) for key in keys})
 
 
 def constant_cache(n_vars, value=0.0, bonus=None):
-    entries = {}
-    for node in range(n_vars):
-        for mask in parent_masks(n_vars, node, n_vars - 1):
-            entries[(node, mask)] = CacheEntry(value, True)
-    for key, score in (bonus or {}).items():
-        entries[key] = CacheEntry(score, True)
-    return ScoreCache(n_vars=n_vars, max_parents=n_vars - 1, entries=entries)
+    keys = [(node, mask) for node in range(n_vars) for mask in parent_masks(n_vars, node, n_vars - 1)]
+    return cache_from_scores(n_vars, n_vars - 1, {**dict.fromkeys(keys, value), **(bonus or {})})
 
 
 def dag_score(cache, dag):
@@ -73,16 +66,13 @@ class TestBestParentSets:
         caches.append(ScoreCache.from_csv((GOLDEN / "cache_st.csv").read_text()))
         for cache in caches:
             n = cache.n_vars
+            entries = list(zip(cache.nodes.tolist(), cache.masks.tolist(), cache.log_score.tolist()))
             score, mask = full_mask_tables(best_parent_sets(cache))
             for node in range(n):
                 for candidate in range(1 << n):
                     if (candidate >> node) & 1:
                         continue
-                    best = max(
-                        (entry.log_score, -m)
-                        for (j, m), entry in cache.entries.items()
-                        if j == node and m & candidate == m
-                    )
+                    best = max((s, -m) for j, m, s in entries if j == node and m & candidate == m)
                     assert score[node, candidate] == best[0]
                     assert mask[node, candidate] == -best[1]
 
@@ -175,15 +165,7 @@ class TestExactSearch:
         rng = np.random.default_rng(7)
         cache = random_cache(4, rng)
         base = exact_search(cache)
-        shifted_entries = {
-            key: (
-                CacheEntry(e.log_score + 2.5, e.converged)
-                if key[0] == 2
-                else e
-            )
-            for key, e in cache.entries.items()
-        }
-        shifted = ScoreCache(n_vars=4, max_parents=3, entries=shifted_entries)
+        shifted = dataclasses.replace(cache, log_score=cache.log_score + np.where(cache.nodes == 2, 2.5, 0.0))
         moved = exact_search(shifted)
         assert moved.dag == base.dag
         assert moved.total_score == pytest.approx(base.total_score + 2.5)
@@ -254,8 +236,8 @@ class TestAgainstReference:
 
     def test_node_without_a_finite_score_fails_as_the_reference_does(self):
         cache = random_cache(4, np.random.default_rng(10))
-        for mask in parent_masks(4, 1, 3):
-            cache.entries[(1, mask)] = CacheEntry(-np.inf, False)
+        cache.log_score[cache.nodes == 1] = -np.inf
+        cache.converged[cache.nodes == 1] = False
         with pytest.raises(RuntimeError, match="no admissible sink"):
             reference_exact_search(cache)
         assert_matches_reference(cache)
@@ -263,8 +245,12 @@ class TestAgainstReference:
     def test_missing_sets_count_as_unscored(self):
         # a cache built in code may leave out sets; the search never picks them
         cache = random_cache(5, np.random.default_rng(11), draw=DRAWS["inf"])
-        for key in [(0, 0), (2, 0b01), (3, 0b10011)]:
-            del cache.entries[key]
+        kept = np.ones(cache.total_entries(), dtype=bool)
+        for node, mask in [(0, 0), (2, 0b01), (3, 0b10011)]:
+            kept &= (cache.nodes != node) | (cache.masks != mask)
+        columns = {name: getattr(cache, name)[kept] for name in ("nodes", "masks", "log_score", "converged")}
+        cache = dataclasses.replace(cache, **columns)
+        assert cache.total_entries() == 5 * 2**4 - 3
         assert_matches_reference(cache)
 
 
