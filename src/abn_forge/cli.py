@@ -20,6 +20,7 @@ from .data import AbnParams, Dataset, SeparationStatus, sample
 from .experiments import (
     StudyConfig,
     bad_hyperparameters,
+    hyperparameters,
     results_from_csv,
     results_to_csv,
     run_study,
@@ -28,7 +29,7 @@ from .experiments import (
     timings_to_csv,
 )
 from .graph import Cpdag, Dag, compare, parse_graph_json, to_cpdag
-from .score import ScoreCache, build_score_cache, prior_from_name
+from .score import PRIOR_HYPERPARAMETERS, ScoreCache, build_score_cache, prior_from_name
 from .search import exact_search
 from .svg import render_summary_svg
 
@@ -81,12 +82,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--prior", required=True, choices=["wi", "st", "si"])
     p.add_argument("--si-truth", help="parameter JSON with the generating truth (required for si)")
     p.add_argument("--max-parents", type=int, default=None)
-    p.add_argument("--wi-variance", type=float, default=1000.0)
-    p.add_argument("--st-df", type=float, default=1.0)
-    p.add_argument("--st-scale", type=float, default=2.5)
-    p.add_argument("--st-intercept-scale", type=float, default=10.0)
-    p.add_argument("--si-variance", type=float, default=0.1)
-    p.add_argument("--si-absent-variance", type=float, default=1000.0)
+    for name in PRIOR_HYPERPARAMETERS:
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=getattr(StudyConfig, name))
     p.add_argument("--out", required=True, help="score cache CSV to write")
 
     p = sub.add_parser("search", help="exact best-scoring DAG for a score cache")
@@ -131,16 +128,7 @@ def _cmd_score(args) -> None:
             raise CliError(1, "abn-forge score: --si-truth is required with --prior si")
         truth = _parse(args.si_truth, AbnParams.from_json, "parameter file")
     try:
-        prior = prior_from_name(
-            args.prior,
-            truth=truth,
-            wi_variance=args.wi_variance,
-            st_df=args.st_df,
-            st_scale=args.st_scale,
-            st_intercept_scale=args.st_intercept_scale,
-            si_variance=args.si_variance,
-            si_absent_variance=args.si_absent_variance,
-        )
+        prior = prior_from_name(args.prior, truth=truth, **hyperparameters(args))
         cache = build_score_cache(dataset, prior, args.max_parents)
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc

@@ -34,7 +34,8 @@ import numpy as np
 from ._util import as_float, as_int, atomic_write_text, csv_records, csv_text
 from .data import AbnParams, sample
 from .graph import MAX_NODES, compare, random_dag, to_cpdag
-from .score import build_score_cache, prior_from_name
+from .score import PRIOR_HYPERPARAMETERS, build_score_cache, prior_from_name
+from .score import GaussianPrior, StrongGaussianPrior, StudentTPrior  # their fields' defaults are the config's
 from .search import exact_search
 
 SEPARATION = "separation"
@@ -42,13 +43,15 @@ LINDLEY = "lindley"
 
 _STUDY_PRIORS = {SEPARATION: ("wi", "st"), LINDLEY: ("wi", "st", "si")}
 
-# each is a study config field and an ``abn-forge score`` flag, and must be finite and positive
-PRIOR_HYPERPARAMETERS = ("wi_variance", "st_df", "st_scale", "st_intercept_scale", "si_variance", "si_absent_variance")
+
+def hyperparameters(values) -> dict[str, float]:
+    """The ``PRIOR_HYPERPARAMETERS`` of ``values``, a study config or parsed ``abn-forge score`` flags."""
+    return {name: getattr(values, name) for name in PRIOR_HYPERPARAMETERS}
 
 
 def bad_hyperparameters(values) -> list[str]:
     """The names in ``PRIOR_HYPERPARAMETERS`` whose attribute of ``values`` is not finite and positive."""
-    return [name for name in PRIOR_HYPERPARAMETERS if not (math.isfinite(v := getattr(values, name)) and v > 0)]
+    return [name for name, v in hyperparameters(values).items() if not (math.isfinite(v) and v > 0)]
 
 
 @dataclass(frozen=True)
@@ -71,12 +74,12 @@ class StudyConfig:
     intercept: float | None = None
     master_seed: int = 0
     max_parents: int | None = None
-    wi_variance: float = 1000.0
-    st_df: float = 1.0
-    st_scale: float = 2.5
-    st_intercept_scale: float = 10.0
-    si_variance: float = 0.1
-    si_absent_variance: float = 1000.0
+    wi_variance: float = GaussianPrior.variance
+    st_df: float = StudentTPrior.df
+    st_scale: float = StudentTPrior.scale
+    st_intercept_scale: float = StudentTPrior.intercept_scale
+    si_variance: float = StrongGaussianPrior.variance
+    si_absent_variance: float = StrongGaussianPrior.absent_variance
     replicate_ids: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -221,16 +224,7 @@ def _run_cell(
     for prior_name in config.priors:
         started = time.perf_counter()
         try:
-            prior = prior_from_name(
-                prior_name,
-                truth=params,
-                wi_variance=config.wi_variance,
-                st_df=config.st_df,
-                st_scale=config.st_scale,
-                st_intercept_scale=config.st_intercept_scale,
-                si_variance=config.si_variance,
-                si_absent_variance=config.si_absent_variance,
-            )
+            prior = prior_from_name(prior_name, truth=params, **hyperparameters(config))
             cache = build_score_cache(dataset, prior, config.max_parents)
             estimate_dag = exact_search(cache).dag
             estimate_cp = to_cpdag(estimate_dag)

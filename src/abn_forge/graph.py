@@ -124,9 +124,12 @@ class Dag:
 
 
 def _edge_pairs(raw) -> list[tuple[int, int]]:
-    """Accept edges either as [from, to] pairs or {"from":, "to":} objects, with integer ends."""
+    """Accept edges either as [from, to] pairs or {"from":, "to":} objects, with integer ends, none twice."""
     ends = [(item["from"], item["to"]) if isinstance(item, dict) else item for item in raw]
-    return [(as_int(a, "edge from"), as_int(b, "edge to")) for a, b in ends]
+    pairs = [(as_int(a, "edge from"), as_int(b, "edge to")) for a, b in ends]
+    if repeated := [pair for i, pair in enumerate(pairs) if pair in pairs[:i]]:
+        raise ValueError(f"edge {repeated[0]} is listed twice")  # the last entry would silently win
+    return pairs
 
 
 def topological_order(dag: Dag) -> list[int]:

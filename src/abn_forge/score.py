@@ -615,7 +615,7 @@ class ScoreCache:
         or a parent set under ``max_parents`` with no line raises ``ValueError``.
         """
         sizes: dict[str, int] = {}
-        prior_label = repeated = ""  # a repeated size is reported after the range check, which reads the last one
+        prior_label = ""
         rows = []
         for number, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
@@ -628,8 +628,8 @@ class ScoreCache:
                             f"line {number}: {key} must be an integer in {least}..{MAX_NODES}, "
                             f"got {value!r}"
                         )
-                    if key in sizes and not repeated:
-                        repeated = f"line {number}: repeated '# {key}:' comment"
+                    if key in sizes:
+                        raise ValueError(f"line {number}: repeated '# {key}:' comment")
                     sizes[key] = int(value)
                 elif key == "prior":
                     prior_label = value.strip()
@@ -643,8 +643,6 @@ class ScoreCache:
         n_vars, max_parents = sizes["n_vars"], sizes["max_parents"]
         if max_parents > n_vars - 1:
             raise ValueError(f"max_parents must lie in 0..{n_vars - 1}")
-        if repeated:
-            raise ValueError(repeated)
         (number, header), *rows = rows
         if header != _CACHE_COLUMNS:
             expected = ",".join(_CACHE_COLUMNS)
@@ -817,27 +815,26 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     return ScoreCache(n, max_parents, nodes, masks, log_score, converged, diagnostics, prior.describe(), data=data)
 
 
-def prior_from_name(
-    name: str,
-    *,
-    truth: AbnParams | None = None,
-    wi_variance: float = 1000.0,
-    st_df: float = 1.0,
-    st_scale: float = 2.5,
-    st_intercept_scale: float = 10.0,
-    si_variance: float = 0.1,
-    si_absent_variance: float = 1000.0,
-) -> Prior:
-    """Build a prior from its short study name: ``wi``, ``st`` or ``si``."""
+# each ``<name>_<field>`` sets that field of the class of prior ``name`` (see :func:`prior_from_name`); each
+# is also a study config field and an ``abn-forge score`` flag, and must be finite and positive
+PRIOR_HYPERPARAMETERS = ("wi_variance", "st_df", "st_scale", "st_intercept_scale", "si_variance", "si_absent_variance")
+_PRIORS = {"wi": GaussianPrior, "st": StudentTPrior, "si": StrongGaussianPrior}
+
+
+def prior_from_name(name: str, *, truth: AbnParams | None = None, **hyperparameters: float) -> Prior:
+    """Build a prior from its short study name: ``wi``, ``st`` or ``si``.
+
+    Each keyword of ``PRIOR_HYPERPARAMETERS`` that starts with ``name`` sets that field of the prior;
+    the others are ignored, and an omitted one keeps its class default.
+    """
+    if unknown := sorted(set(hyperparameters) - set(PRIOR_HYPERPARAMETERS)):
+        raise TypeError(f"prior_from_name() got unexpected keyword arguments: {', '.join(unknown)}")
     key = name.strip().lower()
-    if key == "wi":
-        return GaussianPrior(mean=0.0, variance=wi_variance)
-    if key == "st":
-        return StudentTPrior(df=st_df, scale=st_scale, intercept_scale=st_intercept_scale)
+    if key not in _PRIORS:
+        raise ValueError(f"unknown prior name: {name!r} (expected wi, st or si)")
+    values = {k[len(key) + 1 :]: v for k, v in hyperparameters.items() if k.startswith(key + "_")}
     if key == "si":
         if truth is None:
             raise ValueError("the informed prior needs the generating parameters")
-        return StrongGaussianPrior(
-            truth=truth, variance=si_variance, absent_variance=si_absent_variance
-        )
-    raise ValueError(f"unknown prior name: {name!r} (expected wi, st or si)")
+        values["truth"] = truth
+    return _PRIORS[key](**values)

@@ -8,8 +8,8 @@ import pytest
 
 from abn_forge import AbnParams, Dag, ScoreCache, experiments
 from abn_forge._util import atomic_write_text
-from abn_forge.cli import main
-from abn_forge.experiments import results_from_csv
+from abn_forge.cli import _build_parser, main
+from abn_forge.experiments import StudyConfig, hyperparameters, results_from_csv
 
 
 @pytest.fixture
@@ -22,6 +22,17 @@ def chain_params_file(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# every prior hyperparameter away from its default, and the label each prior then writes
+SET_HYPERPARAMETERS = dict(
+    wi_variance=7.0, st_df=3.0, st_scale=1.5, st_intercept_scale=4.0, si_variance=0.2, si_absent_variance=50.0
+)
+DESCRIBED = {
+    "wi": "gaussian mean=0 variance=7",
+    "st": "student_t df=3 scale=1.5 intercept_scale=4",
+    "si": "gaussian_informed variance=0.2 absent_variance=50",
+}
 
 
 class TestPipeline:
@@ -79,6 +90,21 @@ class TestPipeline:
         tally = dict(zip(("none", "quasi_complete", "complete"), map(int, printed.groups())))
         assert tally == {status: column[status] for status in tally}
         assert sum(tally.values()) == len(rows) - 1
+
+    @pytest.mark.parametrize("prior", ["wi", "st", "si"])
+    def test_score_writes_every_hyperparameter_flag_into_the_prior_line(self, tmp_path, chain_params_file, prior):
+        data = tmp_path / "data.csv"
+        data.write_text("X1,X2,X3\n0,1,1\n1,0,0\n1,1,0\n")
+        cache = tmp_path / "cache.csv"
+        flags = [arg for name, value in SET_HYPERPARAMETERS.items() for arg in ("--" + name.replace("_", "-"), value)]
+        code = run_cli("score", "--data", data, "--prior", prior, "--si-truth", chain_params_file, *flags, "--out", cache)
+        assert code == 0
+        assert f"# prior: {DESCRIBED[prior]}" in cache.read_text().splitlines()
+
+    def test_score_flag_defaults_are_the_study_configs(self):
+        args = _build_parser().parse_args(["score", "--data", "data.csv", "--prior", "wi", "--out", "cache.csv"])
+        config = StudyConfig("lindley", 2, (0.5,), (10,), 1, ("wi",))
+        assert hyperparameters(args) == hyperparameters(config)
 
     def test_simulate_reports_shape(self, tmp_path, chain_params_file, capsys):
         out = tmp_path / "data.csv"
@@ -209,6 +235,23 @@ class TestErrorHandling:
         out = tmp_path / "data.csv"
         assert run_cli("simulate", "--params", params, "--n-obs", 10, "--seed", 0, "--out", out) == 2
         assert f"malformed parameter file in {params}: {field} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "score"])
+    def test_a_repeated_edge_is_exit_two(self, tmp_path, capsys, command):
+        params = tmp_path / "params.json"
+        edges = [{"from": 0, "to": 1, "coef": 5.0}, {"from": 0, "to": 1, "coef": 3.0}]
+        params.write_text(json.dumps({"n": 2, "edges": edges}))
+        data = tmp_path / "data.csv"
+        data.write_text("X1,X2\n0,1\n1,0\n")
+        out = tmp_path / "out.csv"
+        argv, what = {
+            "simulate": (["--params", params, "--n-obs", 10, "--seed", 0, "--out", out], "parameter file"),
+            "evaluate": (["--truth", params, "--estimate", params], "graph file"),
+            "score": (["--data", data, "--prior", "si", "--si-truth", params, "--out", out], "parameter file"),
+        }[command]
+        assert run_cli(command, *argv) == 2
+        assert f"malformed {what} in {params}: edge (0, 1) is listed twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_si_prior_requires_truth_file(self, tmp_path, capsys):

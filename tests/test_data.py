@@ -76,6 +76,12 @@ class TestAbnParams:
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             AbnParams.from_json(json.dumps(obj))
 
+    def test_json_rejects_a_repeated_edge(self):
+        # read entry by entry, the second coef would silently replace the first
+        edges = [{"from": 0, "to": 1, "coef": 5.0}, {"from": 0, "to": 1, "coef": 3.0}]
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is listed twice"):
+            AbnParams.from_json(json.dumps({"n": 2, "edges": edges}))
+
 
 def _sample_row_by_row(params, n_obs, rng):
     """``sample``'s draws from each row's own logit, summed over the parents in order, and scipy's expit."""

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from collections import Counter
@@ -25,6 +26,7 @@ from abn_forge.experiments import (
     summary_to_csv,
     timings_to_csv,
 )
+from test_cli import DESCRIBED, SET_HYPERPARAMETERS
 
 
 def tiny_separation_config(**overrides):
@@ -258,14 +260,26 @@ class TestRunStudy:
         assert all(math.isnan(r.tpr) for r in rows)
 
 
+def _perfbench_layers():
+    # perfbench/layers.py imports nothing from abn_forge, so loading it runs no benchmark code
+    path = Path(__file__).parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkContract:
     # perfbench times a study cell through these module attributes, and its worker marks a cell
     # wrong unless it sees one build_score_cache and one exact_search call per prior
-    WRAPPED = {
-        experiments: ("sample", "build_score_cache", "exact_search", "to_cpdag", "compare"),
-        score: ("_fit_aggregated", "_laplace_value", "parent_masks"),
-        search: ("best_parent_sets",),
-    }
+    TRACED = _perfbench_layers().TRACED
+    MODULES = {"experiments": experiments, "score": score, "search": search}
+    # a cache classifies separation only on request, which a study cell never makes
+    UNCALLED = {"separation_of_patterns"}
+
+    @pytest.mark.parametrize("module, name", TRACED)
+    def test_every_traced_name_resolves(self, module, name):
+        assert callable(getattr(self.MODULES[module], name))
 
     def test_a_cell_calls_every_timed_layer_and_builds_once_per_prior(self, monkeypatch):
         config = StudyConfig(
@@ -287,12 +301,36 @@ class TestBenchmarkContract:
 
             return wrapped
 
-        for module, names in self.WRAPPED.items():
-            for name in names:
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for module, name in self.TRACED:
+            target = self.MODULES[module]
+            monkeypatch.setattr(target, name, counting(name, getattr(target, name)))
         assert results_to_csv(run_study(config, workers=1)) == unwrapped
-        assert set(calls) == {name for names in self.WRAPPED.values() for name in names}
+        assert set(calls) == {name for _, name in self.TRACED} - self.UNCALLED
         assert calls["build_score_cache"] == calls["exact_search"] == len(config.priors)
+
+
+class TestPriorHyperparameters:
+    def test_each_config_hyperparameter_reaches_the_prior_a_cell_builds(self, monkeypatch):
+        described = []
+        build = experiments.build_score_cache
+
+        def capture(data, prior, max_parents=None):
+            described.append(prior.describe())
+            return build(data, prior, max_parents)
+
+        monkeypatch.setattr(experiments, "build_score_cache", capture)
+        config = StudyConfig(
+            study="lindley",
+            n_nodes=3,
+            densities=(0.5,),
+            sample_sizes=(30,),
+            replicates=1,
+            priors=("wi", "st", "si"),
+            **SET_HYPERPARAMETERS,
+        )
+        rows = run_study(config, workers=1)
+        assert [row.note for row in rows] == [""] * 3
+        assert described == [DESCRIBED[name] for name in config.priors]
 
 
 class TestRunArtifacts:

@@ -79,6 +79,11 @@ class TestDag:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             Dag.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("edges", [[[0, 1], [0, 1]], [[0, 1], {"from": 0, "to": 1}]])
+    def test_json_rejects_a_repeated_edge(self, edges):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is listed twice"):
+            Dag.from_json(json.dumps({"n": 3, "edges": edges}))
+
 
 class TestTopologicalOrder:
     def test_chain_is_forced(self):
@@ -185,6 +190,14 @@ class TestCpdagType:
     @pytest.mark.parametrize("obj", [{"n": 3.0, "edges": []}, {"n": 3, "edges": [], "undirected": [[1, 2.5]]}])
     def test_json_rejects_a_non_integer_node(self, obj):
         with pytest.raises(ValueError, match="must be an integer"):
+            Cpdag.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"n": 3, "edges": [[0, 2], [0, 2]], "undirected": []}, {"n": 3, "edges": [], "undirected": [[0, 2], [0, 2]]}],
+    )
+    def test_json_rejects_a_repeated_edge(self, obj):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) is listed twice"):
             Cpdag.from_json(json.dumps(obj))
 
     def test_parse_dispatches_on_keys(self):
