@@ -29,7 +29,7 @@ from .experiments import (
     timings_to_csv,
 )
 from .graph import Cpdag, Dag, compare, parse_graph_json, to_cpdag
-from .score import PRIOR_HYPERPARAMETERS, ScoreCache, build_score_cache, prior_from_name
+from .score import _PRIORS, PRIOR_HYPERPARAMETERS, ScoreCache, build_score_cache, prior_from_name
 from .search import exact_search
 from .svg import render_summary_svg
 
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("score", help="score every candidate parent set of every node")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--prior", required=True, choices=["wi", "st", "si"])
+    p.add_argument("--prior", required=True, choices=list(_PRIORS))
     p.add_argument("--si-truth", help="parameter JSON with the generating truth (required for si)")
     p.add_argument("--max-parents", type=int, default=None)
     for name in PRIOR_HYPERPARAMETERS:

@@ -18,7 +18,6 @@ import csv
 import enum
 import io
 import json
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -119,9 +118,8 @@ class Dataset:
         codes = values.astype(np.int64) @ (1 << np.arange(values.shape[1], dtype=np.int64))
         self._rows, counts = np.unique(codes, return_counts=True)
         self._counts = counts.astype(float)
-        # the itemset moments of each size counted so far, and the itemsets of the last (see _moments)
-        self._levels, self._grow = [self._counts.sum(keepdims=True)], []
-        self._itemsets = np.zeros((1, 0), dtype=np.int64)
+        # the itemset moments of each size counted so far (see _moments)
+        self._levels = []
 
     @property
     def n_obs(self) -> int:
@@ -160,41 +158,31 @@ class Dataset:
         dataset's priors share them: a key gathers the moments of every subset of its parents, with
         and without the node, and a Mobius inversion over the parent bits turns them into trials and
         successes per configuration.  Moments are whole numbers in float64, so every count is exact,
-        and a key costs about 2^(k+1) (k+1) operations however many distinct rows the dataset has.
+        and a key costs about 2^(k+1) (k+1) operations however many distinct rows the dataset has,
+        plus one binary search among the itemsets per subset of each distinct parent set.
         """
         nodes, masks = np.asarray(nodes, dtype=np.int64), np.asarray(masks, dtype=np.int64)
         n, n_keys, k = self.n_vars, len(masks), int(masks[0]).bit_count()
         configs = 1 << k
-        # each configuration's parent bits, and how many are set
+        # each configuration's parent bits, the first parent most significant
         bits = (np.arange(configs)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        patterns, sizes = np.ones((1, configs, k + 1)), bits.sum(axis=1)
+        patterns = np.ones((1, configs, k + 1))
         patterns[0, :, 1:] = bits
-        moments, grow = self._moments(k + 1)
+        itemsets, moments, joined = self._moments(k)
+        # the moment row of every subset of each distinct parent set, one column per set
+        sets, inverse = np.unique(masks, return_inverse=True)
+        at = np.searchsorted(itemsets, bits @ (1 << _bit_columns(sets, n)).T)
+        inverse = inverse.reshape(-1)
         counts = np.empty((n_keys, 2, configs))
         step = max(1, _CHUNK // max(n, 2 * configs))
         for lo in range(0, n_keys, step):
-            chunk = slice(lo, lo + step)
-            node, parents = nodes[chunk], _bit_columns(masks[chunk], n).T
-            grow_node, grow_parents = grow.T[:, node], grow.T[:, parents]
-            # the moment index of every subset of a key's parents (row 0) and of it with the node
-            # (row 1), one column per key.  Parent j joins as bit k-1-j, ascending, so it tops each
-            # subset so far; with the node, it tops the subset if the node lies below it, and
-            # otherwise the node tops the grown subset.
-            index = np.empty((2, configs, len(node)), dtype=np.int32)
-            index[0, 0], index[1, 0] = 0, grow_node[0]
-            for j in range(k):
-                stride = configs >> j
-                half = stride >> 1
-                size, grown_size = sizes[::stride], sizes[half::stride]
-                grown = np.add(index[0, ::stride], grow_parents[size, j], out=index[0, half::stride])
-                np.add(grown, grow_node[grown_size], out=index[1, half::stride])
-                above = parents[j] > node
-                np.add(index[1, ::stride], grow_parents[grown_size, j], out=index[1, half::stride], where=above)
-            table = moments[index]
+            node, index = nodes[lo : lo + step], at.take(inverse[lo : lo + step], axis=1)
+            # the subsets' moments without the node (row 0) and with it (row 1)
+            table = np.stack([moments[index], joined[index, node]])
             for b in range(k):  # each configuration drops the weight of its supersets, bit by bit
                 pair = table.reshape(2, -1, 2, (1 << b) * len(node))
                 pair[:, :, 0] -= pair[:, :, 1]
-            counts[chunk] = table.transpose(2, 0, 1)
+            counts[lo : lo + step] = table.transpose(2, 0, 1)
         successes, trials = counts[:, 1], counts[:, 0]
         observed = trials > 0
         width = int(observed.sum(axis=1).max(initial=0))
@@ -204,39 +192,42 @@ class Dataset:
             patterns = patterns[0, rows]
         return patterns, successes, trials
 
-    def _moments(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """m(T), the weight of the distinct rows holding every bit of T, for each itemset T of <= ``depth`` bits.
+    def _moments(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The itemsets T of <= ``size`` bits as ascending masks, with m(T) and ``joined``, m(T | {x}) per x.
 
-        Itemsets lie by size, and within a size in ascending mask order, which is colex order: T with
-        bits t_1 < ... < t_c sits at ``offset(c) + C(t_1, 1) + ... + C(t_c, c)``, where ``offset(c)``
-        counts the itemsets of fewer bits.  So bit x joining a c-bit itemset as its highest moves its
-        position by ``grow[x, c] = C(x, c + 1) + C(n_vars, c)``; both arrays are returned.  Each size
-        is counted once per dataset, when first asked for, from the itemsets of the size below.
+        m(T) is the weight of the distinct rows holding every bit of T.  Each size is counted once
+        per dataset, when first asked for: its itemsets are those of the size below, each grown by
+        a bit above its highest, so their moments are in the ``joined`` of the size below, and only
+        its own ``joined`` is counted.
         """
         n, levels = self.n_vars, self._levels
-        if len(levels) > depth:
-            return self._tables
-        while len(levels) <= depth:
-            # size c + 1 from the c-bit itemsets: those below bit x are the first C(x, c), and x tops each
-            c = len(levels) - 1
-            lengths = np.array([math.comb(x, c) for x in range(n)])
-            starts = np.cumsum(lengths) - lengths  # C(x, c + 1)
-            top = np.repeat(np.arange(n), lengths)
-            below = np.arange(len(top)) - np.repeat(starts, lengths)
-            level = np.zeros(len(top))
-            step = max(1, _CHUNK // max(n, len(self._itemsets)))
+        if len(levels) > size:
+            return self._lookup
+        while len(levels) <= size:
+            if levels:
+                # the itemsets below bit x are those under 1 << x, a prefix of the ascending masks
+                itemsets, _, joined = levels[-1]
+                lengths = np.searchsorted(itemsets, 1 << np.arange(n))
+                top = np.repeat(np.arange(n), lengths)
+                below = np.arange(len(top)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+                itemsets, moments = itemsets[below] | 1 << top, joined[below, top]
+            else:
+                itemsets, moments = np.zeros(1, dtype=np.int64), self._counts.sum(keepdims=True)
+            joined = np.zeros((len(itemsets), n))
+            columns = _bit_columns(itemsets, n).T
+            step = max(1, _CHUNK // max(n, len(itemsets)))
             for lo in range(0, len(self._rows), step):
                 bits = ((self._rows[lo : lo + step] >> np.arange(n)[:, None]) & 1).astype(float)
-                # each distinct row's weight where it holds every bit of a c-bit itemset, else 0
+                # each distinct row's weight where it holds every bit of an itemset, else 0
                 held = self._counts[None, lo : lo + step]
-                for column in self._itemsets.T:
+                for column in columns:
                     held = held * bits[column]
-                level += np.einsum("ir,jr->ij", held, bits)[below, top]
-            self._grow.append(starts + len(levels[-1]))
-            self._itemsets = np.column_stack([self._itemsets[below], top])
-            levels.append(level)
-        self._tables = np.concatenate(levels), np.column_stack(self._grow).astype(np.int32)
-        return self._tables
+                joined += np.einsum("ir,jr->ij", held, bits)
+            levels.append((itemsets, moments, joined))
+        itemsets, moments, joined = (np.concatenate(a) for a in zip(*levels))
+        order = np.argsort(itemsets)
+        self._lookup = itemsets[order], moments[order], joined[order]
+        return self._lookup
 
     def to_csv(self) -> str:
         return csv_text([f"X{k + 1}" for k in range(self.n_vars)], self.values.tolist())
@@ -359,8 +350,7 @@ def separation_of_patterns(
     -x, which pins x'b = 0 inside the linear programs: complete separation is
     then ruled out, and mixed patterns of full column rank leave only b = 0.
     Otherwise a rank-deficient design separates weakly along a flat direction,
-    and small HiGHS linear programs (:func:`_strict_margin`, :func:`_weak_slack`)
-    settle the rest.
+    and small HiGHS linear programs (:func:`_separation_lp`) settle the rest.
 
     A one-sided response (all successes or all failures, including the empty
     design) is complete by convention: any direction through the intercept
@@ -377,43 +367,29 @@ def separation_of_patterns(
     if mixed.any() and np.linalg.matrix_rank(patterns[mixed]) == d:
         return SeparationStatus.NONE
     signed = np.vstack([patterns[pos], -patterns[neg]])
-    if not mixed.any() and _strict_margin(signed) > _LP_TOL:
+    if not mixed.any() and _separation_lp(signed, strict=True) > _LP_TOL:
         return SeparationStatus.COMPLETE
-    if np.linalg.matrix_rank(patterns) < d or _weak_slack(signed) > _LP_TOL:
+    if np.linalg.matrix_rank(patterns) < d or _separation_lp(signed, strict=False) > _LP_TOL:
         return SeparationStatus.QUASI_COMPLETE
     return SeparationStatus.NONE
 
 
-def _strict_margin(signed: np.ndarray) -> float:
-    """Optimum of: max t  s.t.  U b >= t, -1 <= b <= 1, t <= 1.  Positive iff strictly separable."""
+def _separation_lp(signed: np.ndarray, strict: bool) -> float:
+    """The optimum of one separation LP over the signed rows U, found by HiGHS.
+
+    Strict: max t  s.t.  U b >= t, -1 <= b <= 1, t <= 1, positive iff strictly separable.
+    Weak: max 1'U b  s.t.  U b >= 0, -1 <= b <= 1, positive iff weakly separable with slack.
+    """
     from scipy.optimize import linprog  # scipy loads on the first classification, not on import
 
     signed = np.unique(signed, axis=0)
     n_rows, d = signed.shape
-    res = linprog(
-        c=[0.0] * d + [-1.0],
-        A_ub=np.hstack([-signed, np.ones((n_rows, 1))]),
-        b_ub=np.zeros(n_rows),
-        bounds=[(-1.0, 1.0)] * d + [(None, 1.0)],
-        method="highs",
-    )
+    if strict:  # over (b, t)
+        c, bounds = [0.0] * d + [-1.0], [(-1.0, 1.0)] * d + [(None, 1.0)]
+        rows = np.hstack([-signed, np.ones((n_rows, 1))])
+    else:
+        c, rows, bounds = -signed.sum(axis=0), -signed, [(-1.0, 1.0)] * d
+    res = linprog(c=c, A_ub=rows, b_ub=np.zeros(n_rows), bounds=bounds, method="highs")
     if res.status != 0:  # pragma: no cover - HiGHS handles these tiny LPs
-        raise RuntimeError(f"separation LP failed: {res.message}")
-    return -res.fun
-
-
-def _weak_slack(signed: np.ndarray) -> float:
-    """Optimum of: max 1'U b  s.t.  U b >= 0, -1 <= b <= 1.  Positive iff weakly separable with slack."""
-    from scipy.optimize import linprog
-
-    signed = np.unique(signed, axis=0)
-    res = linprog(
-        c=-signed.sum(axis=0),
-        A_ub=-signed,
-        b_ub=np.zeros(signed.shape[0]),
-        bounds=[(-1.0, 1.0)] * signed.shape[1],
-        method="highs",
-    )
-    if res.status != 0:  # pragma: no cover
         raise RuntimeError(f"separation LP failed: {res.message}")
     return -res.fun

@@ -615,7 +615,7 @@ class ScoreCache:
         or a parent set under ``max_parents`` with no line raises ``ValueError``.
         """
         sizes: dict[str, int] = {}
-        prior_label = ""
+        prior_label = None
         rows = []
         for number, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
@@ -632,6 +632,8 @@ class ScoreCache:
                         raise ValueError(f"line {number}: repeated '# {key}:' comment")
                     sizes[key] = int(value)
                 elif key == "prior":
+                    if prior_label is not None:
+                        raise ValueError(f"line {number}: repeated '# prior:' comment")
                     prior_label = value.strip()
             elif line.strip():
                 rows.append((number, next(csv.reader([line]))))
@@ -683,7 +685,7 @@ class ScoreCache:
         nodes, masks = np.array(keys).T
         return cls(
             n_vars, max_parents, nodes, masks, log_score, converged,
-            prior_label=prior_label, separations=dict(zip(keys, statuses)),
+            prior_label=prior_label or "", separations=dict(zip(keys, statuses)),
         )
 
 
@@ -831,7 +833,8 @@ def prior_from_name(name: str, *, truth: AbnParams | None = None, **hyperparamet
         raise TypeError(f"prior_from_name() got unexpected keyword arguments: {', '.join(unknown)}")
     key = name.strip().lower()
     if key not in _PRIORS:
-        raise ValueError(f"unknown prior name: {name!r} (expected wi, st or si)")
+        *first, last = _PRIORS
+        raise ValueError(f"unknown prior name: {name!r} (expected {', '.join(first)} or {last})")
     values = {k[len(key) + 1 :]: v for k, v in hyperparameters.items() if k.startswith(key + "_")}
     if key == "si":
         if truth is None:

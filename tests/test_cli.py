@@ -128,6 +128,13 @@ class TestErrorHandling:
         assert run_cli("simulate", "--n-obs", 10) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_prior_is_exit_one_and_help_lists_the_short_names(self, capsys):
+        assert run_cli("score", "--data", "x.csv", "--prior", "jeffreys", "--out", "y.csv") == 1
+        assert "argument --prior: invalid choice: 'jeffreys'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run_cli("score", "--help")
+        assert "--prior {wi,st,si}" in capsys.readouterr().out
+
     def test_unknown_command_is_exit_one(self):
         assert run_cli("frobnicate") == 1
 

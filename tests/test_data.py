@@ -308,10 +308,10 @@ class TestSeparationStatus:
     @pytest.mark.parametrize(
         "xcols, y, status, lps",
         [
-            ([[0, 0, 1, 1]], [0, 0, 1, 1], SeparationStatus.COMPLETE, ["_strict_margin"]),
-            ([[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]], [0, 1, 1, 0], SeparationStatus.QUASI_COMPLETE, ["_strict_margin"]),
+            ([[0, 0, 1, 1]], [0, 0, 1, 1], SeparationStatus.COMPLETE, ["strict"]),
+            ([[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]], [0, 1, 1, 0], SeparationStatus.QUASI_COMPLETE, ["strict"]),
             ([[0, 0, 1, 1]], [0, 1, 0, 1], SeparationStatus.NONE, []),
-            ([[0, 0, 1, 1]], [0, 1, 1, 1], SeparationStatus.QUASI_COMPLETE, ["_weak_slack"]),
+            ([[0, 0, 1, 1]], [0, 1, 1, 1], SeparationStatus.QUASI_COMPLETE, ["weak"]),
             ([[0, 0, 1, 1], [0, 0, 1, 1]], [0, 1, 1, 1], SeparationStatus.QUASI_COMPLETE, []),
         ],
         ids=["pure-strict", "pure-flat", "mixed-full-rank", "mixed-weak", "mixed-flat"],
@@ -319,9 +319,13 @@ class TestSeparationStatus:
     def test_linear_programs_run_only_where_the_rank_leaves_the_answer_open(self, monkeypatch, xcols, y, status, lps):
         # a mixed pattern rules complete separation out, and a rank-deficient design is quasi-complete
         calls = Counter()
-        for name in ("_strict_margin", "_weak_slack"):
-            lp = getattr(data_module, name)
-            monkeypatch.setattr(data_module, name, lambda signed, name=name, lp=lp: calls.update([name]) or lp(signed))
+        lp = data_module._separation_lp
+
+        def counted(signed, strict):
+            calls.update(["strict" if strict else "weak"])
+            return lp(signed, strict)
+
+        monkeypatch.setattr(data_module, "_separation_lp", counted)
         X, y = design(xcols, y)
         assert separation_of_design(X, y) == status
         assert status.value == fm_separation(X, y)

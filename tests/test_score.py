@@ -157,7 +157,7 @@ class TestPriorFromName:
             prior_from_name("si")
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown prior name: 'jeffreys' \(expected wi, st or si\)$"):
             prior_from_name("jeffreys")
 
     def test_a_misspelt_hyperparameter_is_a_type_error(self):
@@ -533,10 +533,13 @@ class TestScoreCache:
             (["# n_vars: 3", "# max_parents: 1", "# max_parents: 3"], "line 3: repeated '# max_parents:' comment"),
             (["# n_vars: 3", "# max_parents: 1", "# n_vars: 2", "# max_parents: 9"],
              "line 3: repeated '# n_vars:' comment"),
+            (["# prior: wi", "# n_vars: 1", "# max_parents: 0", "# prior: st"], "line 4: repeated '# prior:' comment"),
+            (["# prior:", "# n_vars: 1", "# max_parents: 0", "# prior: st"], "line 4: repeated '# prior:' comment"),
         ],
     )
     def test_from_csv_rejects_a_repeated_size_comment(self, comments, message):
-        # the first two files would read as a one-variable cache if the last comment won
+        # the first two files would read as a one-variable cache if the last comment won, and the
+        # last two would silently take the last prior label, even over an empty one
         text = "\n".join([*comments, CACHE_HEADER, "0,0,-1.0,true,none"]) + "\n"
         with pytest.raises(ValueError, match=f"^{message}$"):
             ScoreCache.from_csv(text)
@@ -565,9 +568,9 @@ class TestScoreCache:
         counted = []
         moments = Dataset._moments
 
-        def count(self, depth):
+        def count(self, size):
             before = len(self._levels)
-            result = moments(self, depth)
+            result = moments(self, size)
             counted.extend(range(before, len(self._levels)))  # the itemset sizes this call counted
             return result
 
@@ -576,7 +579,7 @@ class TestScoreCache:
             cache = build_score_cache(data, prior_from_name(name, truth=truth))
         for key in cache.entries:
             cache.separation(*key)
-        assert counted == [1, 2, 3, 4, 5]  # each size once, for all three priors and every table after
+        assert counted == [0, 1, 2, 3, 4]  # each size once, for all three priors and every table after
 
     def test_failed_fits_get_floor_score_and_diagnostics(self):
         # an improper flat prior on separated data cannot converge
