@@ -93,9 +93,13 @@ class StudyConfig:
             object.__setattr__(self, "intercept", as_float(self.intercept, "intercept"))
         if self.replicate_ids is not None:
             object.__setattr__(self, "replicate_ids", tuple(as_int(r, "replicate_ids") for r in self.replicate_ids))
-        if not 1 <= as_int(self.n_nodes, "n_nodes") <= MAX_NODES:
+        for name in ("n_nodes", "master_seed", "replicates"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        if self.max_parents is not None:
+            object.__setattr__(self, "max_parents", as_int(self.max_parents, "max_parents"))
+        if not 1 <= self.n_nodes <= MAX_NODES:
             raise ValueError(f"n_nodes must be an integer in 1..{MAX_NODES}, got {self.n_nodes!r}")
-        if self.max_parents is not None and not 0 <= as_int(self.max_parents, "max_parents") < self.n_nodes:
+        if self.max_parents is not None and not 0 <= self.max_parents < self.n_nodes:
             raise ValueError(f"max_parents must be in 0..{self.n_nodes - 1}")
         if not all(math.isfinite(v) for v in (self.edge_coef, self.intercept or 0.0)):
             raise ValueError("edge_coef and intercept must be finite")
@@ -107,8 +111,7 @@ class StudyConfig:
             raise ValueError("densities must be a nonempty subset of (0, 1]")
         if not self.sample_sizes or not all(v >= 1 for v in self.sample_sizes):
             raise ValueError("sample sizes must be >= 1")
-        as_int(self.master_seed, "master_seed")
-        if as_int(self.replicates, "replicates") < 0:
+        if self.replicates < 0:
             raise ValueError("replicates must be >= 0")
         allowed = _STUDY_PRIORS[self.study]
         if not self.priors or not set(self.priors) <= set(allowed):
@@ -143,26 +146,26 @@ class StudyConfig:
 
 @dataclass
 class ResultRow:
-    """One (prior, cell) outcome of a study."""
+    """One (prior, cell) outcome of a study; a failed cell keeps the metric defaults and notes its error."""
 
     study: str
     prior_name: str
     density: float
     n_obs: int
     replicate: int
-    tpr: float
-    fpr: float
-    tnr: float
-    edges_true: int
-    edges_fitted: int
-    normalized_parents: float
+    tpr: float = float("nan")
+    fpr: float = float("nan")
+    tnr: float = float("nan")
+    edges_true: int = 0
+    edges_fitted: int = 0
+    normalized_parents: float = float("nan")
     note: str = ""
     wall_time_ms: float = float("nan")
 
 
 RESULT_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_time_ms")
 
-TIMING_FIELDS = ("study", "prior_name", "density", "n_obs", "replicate", "wall_time_ms")
+TIMING_FIELDS = (*RESULT_FIELDS[:5], "wall_time_ms")  # the cell key, then its time
 
 
 def derive_rng(master_seed: int, study_label: str, replicate: int) -> np.random.Generator:
@@ -196,11 +199,7 @@ def _run_cell(
     label = _cell_label(config, density, n_obs)
 
     def failure_row(prior_name: str, message: str) -> ResultRow:
-        nan = float("nan")
-        return ResultRow(
-            config.study, prior_name, density, n_obs, replicate, tpr=nan, fpr=nan, tnr=nan,
-            edges_true=0, edges_fitted=0, normalized_parents=nan, note=f"error: {message}",
-        )
+        return ResultRow(config.study, prior_name, density, n_obs, replicate, note=f"error: {message}")
 
     try:
         rng = derive_rng(config.master_seed, label, replicate)
@@ -264,10 +263,6 @@ def _run_cell(
     return rows
 
 
-def _run_cell_task(args: tuple) -> list[ResultRow]:
-    return _run_cell(*args)
-
-
 def _worker_count(n_tasks: int, workers: int | None) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
@@ -302,12 +297,12 @@ def run_study(
     rows: list[ResultRow] = []
     if n_workers == 1:
         for task in tasks:
-            rows.extend(_run_cell_task(task))
+            rows.extend(_run_cell(*task))
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which workers=1 never needs
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for chunk in pool.map(_run_cell_task, tasks):
+            for chunk in pool.map(_run_cell, *zip(*tasks)):
                 rows.extend(chunk)
     rows.sort(key=lambda r: (r.prior_name, r.density, r.n_obs, r.replicate))
     return rows
@@ -319,10 +314,8 @@ def results_to_csv(rows: Sequence[ResultRow]) -> str:
 
 
 def timings_to_csv(rows: Sequence[ResultRow]) -> str:
-    return csv_text(
-        TIMING_FIELDS,
-        ([r.study, r.prior_name, r.density, r.n_obs, r.replicate, f"{r.wall_time_ms:.3f}"] for r in rows),
-    )
+    cell = TIMING_FIELDS[:-1]
+    return csv_text(TIMING_FIELDS, ([*(getattr(r, name) for name in cell), f"{r.wall_time_ms:.3f}"] for r in rows))
 
 
 def results_from_csv(text: str) -> list[ResultRow]:
@@ -353,15 +346,15 @@ def summarize_rows(rows: Sequence[ResultRow]) -> list[dict]:
     Rows flagged with a note (errors, empty truths) are left out, matching
     how the study figures are drawn from clean replicates only.
     """
+    cell = SUMMARY_FIELDS[: SUMMARY_FIELDS.index("metric")]  # the summary columns a result row has
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
         if row.note:
             continue
-        groups.setdefault((row.study, row.prior_name, row.density, row.n_obs), []).append(row)
+        groups.setdefault(tuple(getattr(row, name) for name in cell), []).append(row)
 
     out = []
     for key in sorted(groups):
-        study, prior_name, density, n_obs = key
         for metric in SUMMARY_METRICS:
             values = [getattr(r, metric) for r in groups[key]]
             values = [v for v in values if math.isfinite(v)]
@@ -369,22 +362,8 @@ def summarize_rows(rows: Sequence[ResultRow]) -> list[dict]:
                 continue
             arr = np.asarray(values, dtype=float)
             q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-            out.append(
-                {
-                    "study": study,
-                    "prior_name": prior_name,
-                    "density": density,
-                    "n_obs": n_obs,
-                    "metric": metric,
-                    "count": len(values),
-                    "mean": float(arr.mean()),
-                    "median": float(median),
-                    "q1": float(q1),
-                    "q3": float(q3),
-                    "lo": float(arr.min()),
-                    "hi": float(arr.max()),
-                }
-            )
+            stats = map(float, (arr.mean(), median, q1, q3, arr.min(), arr.max()))
+            out.append(dict(zip(SUMMARY_FIELDS, (*key, metric, len(values), *stats))))
     return out
 
 
@@ -393,5 +372,6 @@ def summary_to_csv(summary: Sequence[dict]) -> str:
 
 
 def summary_from_csv(text: str) -> list[dict]:
-    types = dict.fromkeys(("density", "mean", "median", "q1", "q3", "lo", "hi"), float)
-    return csv_records(text, SUMMARY_FIELDS, {**types, "n_obs": int, "count": int})
+    stats = SUMMARY_FIELDS[SUMMARY_FIELDS.index("mean") :]  # mean through hi, as summarize_rows computes them
+    types = {**dict.fromkeys(("density", *stats), float), "n_obs": int, "count": int}
+    return csv_records(text, SUMMARY_FIELDS, types)

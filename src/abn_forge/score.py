@@ -564,9 +564,28 @@ class ScoreCache:
     def __post_init__(self) -> None:
         self.nodes, self.masks = (np.asarray(a, dtype=np.int64) for a in (self.nodes, self.masks))
         self.log_score, self.converged = np.asarray(self.log_score, dtype=float), np.asarray(self.converged, dtype=bool)
-        self._keys = self.nodes << self.n_vars | self.masks  # what score() looks up
-        if not len(self._keys) == len(self.log_score) == len(self.converged) or (np.diff(self._keys) <= 0).any():
+        arrays = (self.nodes, self.masks, self.log_score, self.converged)
+        if any(a.ndim != 1 or len(a) != len(self.nodes) for a in arrays):
             raise ValueError("cache arrays must have one row per entry, in ascending (node, mask) order")
+        n, nodes, masks = self.n_vars, self.nodes, self.masks
+        if not 1 <= n <= MAX_NODES or not 0 <= self.max_parents < n:
+            raise ValueError(f"n_vars must lie in 1..{MAX_NODES} and max_parents in 0..n_vars - 1, got {n}, {self.max_parents}")
+        self._keys = nodes << n | masks  # what score() looks up
+        if (np.diff(self._keys) <= 0).any():
+            raise ValueError("cache arrays must have one row per entry, in ascending (node, mask) order")
+
+        # the checks of from_csv: the search indexes its tables by (node, mask), so a stray
+        # key would land in another node's row, and a nan score would never be picked
+        def reject(bad: np.ndarray, problem: str) -> None:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"entry {i} (node {nodes[i]}, parent mask {masks[i]}): {problem}")
+
+        reject((nodes < 0) | (nodes >= n), f"node is not in 0..{n - 1}")
+        reject(masks >> n != 0, f"parent mask has bits beyond {n} variables")
+        reject(masks >> nodes & 1 == 1, "parent mask contains the node itself")
+        reject(sum(masks >> v & 1 for v in range(n)) > self.max_parents, f"more than {self.max_parents} parents")
+        reject(~(self.log_score < np.inf), "log_score must be finite or -inf")
 
     @property
     def entries(self) -> Mapping[tuple[int, int], CacheEntry]:

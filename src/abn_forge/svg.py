@@ -29,12 +29,13 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".") if value == value else "0"
 
 
-def _axes(x0: float, y0: float, title: str, x_label: str, y_label: str) -> list[str]:
+def _axes(x0: float, y0: float, title: str, x_label: str, y_label: str) -> tuple[tuple, list[str]]:
+    """The plot area ``(left, top, right, bottom)`` of the panel at ``(x0, y0)``, and its frame and labels."""
     left = x0 + MARGIN_L
     top = y0 + MARGIN_T
     right = x0 + PANEL_W - MARGIN_R
     bottom = y0 + PANEL_H - MARGIN_B
-    return [
+    return (left, top, right, bottom), [
         f'<rect x="{left}" y="{top}" width="{right - left}" height="{bottom - top}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
         f'<text x="{x0 + PANEL_W / 2:.1f}" y="{y0 + 18}" text-anchor="middle" '
@@ -49,11 +50,7 @@ def _axes(x0: float, y0: float, title: str, x_label: str, y_label: str) -> list[
 def _box_panel(rows: Sequence[dict], metric: str, x0: float, y0: float) -> list[str]:
     """One boxplot panel: groups on the x axis are sample sizes, boxes are priors."""
     rows = [r for r in rows if r["metric"] == metric]
-    parts = _axes(x0, y0, f"separation study: {metric}", "observations", metric)
-    left = x0 + MARGIN_L
-    top = y0 + MARGIN_T
-    right = x0 + PANEL_W - MARGIN_R
-    bottom = y0 + PANEL_H - MARGIN_B
+    (left, top, right, bottom), parts = _axes(x0, y0, f"separation study: {metric}", "observations", metric)
 
     def sy(v: float) -> float:
         return bottom - max(0.0, min(1.0, v)) * (bottom - top)
@@ -112,17 +109,13 @@ def _scatter_panel(
     rows: Sequence[dict], prior_x: str, prior_y: str, x0: float, y0: float
 ) -> list[str]:
     """Mean normalized parent counts of two priors per cell, with the identity diagonal."""
-    parts = _axes(
+    (left, top, right, bottom), parts = _axes(
         x0,
         y0,
         "lindley study: fitted/true edges",
         f"{prior_x} normalized parents",
         f"{prior_y} normalized parents",
     )
-    left = x0 + MARGIN_L
-    top = y0 + MARGIN_T
-    right = x0 + PANEL_W - MARGIN_R
-    bottom = y0 + PANEL_H - MARGIN_B
 
     by_cell: dict[tuple, dict[str, float]] = {}
     for r in rows:

@@ -169,6 +169,15 @@ class TestStudyConfig:
         text = path.read_text()
         assert StudyConfig.from_json(text).to_json() == text
 
+    def test_numpy_integers_are_stored_as_ints(self):
+        plain = tiny_separation_config(max_parents=1)
+        config = tiny_separation_config(
+            n_nodes=np.int64(3), replicates=np.int64(2), master_seed=np.int32(11), max_parents=np.int64(1)
+        )
+        assert config.to_json() == plain.to_json()
+        for name in ("n_nodes", "replicates", "master_seed", "max_parents"):
+            assert type(getattr(config, name)) is int, name
+
     def test_default_intercept_serializes_as_null(self):
         config = tiny_separation_config()
         obj = json.loads(config.to_json())
@@ -255,9 +264,19 @@ class TestRunStudy:
 
         monkeypatch.setattr(experiments, "build_score_cache", explode)
         rows = run_study(tiny_separation_config(replicates=1), workers=1)
-        assert len(rows) == 2
-        assert all(r.note == "error: fit blew up" for r in rows)
-        assert all(math.isnan(r.tpr) for r in rows)
+        assert results_to_csv(rows).splitlines()[1:] == [
+            f"separation,{prior},0.8,60,0,nan,nan,nan,0,0,nan,error: fit blew up" for prior in ("st", "wi")
+        ]
+
+    def test_failing_draw_yields_error_row_per_prior(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise RuntimeError("draw blew up")
+
+        monkeypatch.setattr(experiments, "random_dag", explode)
+        rows = run_study(tiny_separation_config(replicates=1), workers=1)
+        assert results_to_csv(rows).splitlines()[1:] == [
+            f"separation,{prior},0.8,60,0,nan,nan,nan,0,0,nan,error: draw blew up" for prior in ("st", "wi")
+        ]
 
 
 def _perfbench_layers():

@@ -28,6 +28,7 @@ from abn_forge import (
 )
 from abn_forge import score as score_module
 from abn_forge.experiments import StudyConfig, run_study
+from abn_forge.graph import MAX_NODES
 from abn_forge.score import PriorTerms, _fit_aggregated, _laplace_value, parent_masks
 from oracles import (
     cache_from_scores,
@@ -432,6 +433,30 @@ class TestScoreCache:
             ScoreCache(2, 1, [0, 0], [1, 1], [0.0, 0.0], [True, True])
         with pytest.raises(ValueError, match="one row per entry"):
             ScoreCache(2, 1, [0, 1], [0, 0], [0.0], [True, True])
+
+    # a hand-built cache is held to the rules of from_csv; the full cache at n_vars=2 and
+    # max_parents=1 is nodes (0, 0, 1, 1) on masks (0, 2, 0, 1)
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((3, 1, [0], [0, 2, 4], [-1.0, -2.0, -3.0], [True] * 3), "one row per entry"),  # would broadcast
+            ((2, 1, [[0, 0, 1, 1]], [[0, 2, 0, 1]], [[0.0] * 4], [[True] * 4]), "one row per entry"),
+            ((0, 0, [], [], [], []), "n_vars must lie in 1..24"),
+            ((MAX_NODES + 1, 0, [0], [0], [0.0], [True]), "n_vars must lie in 1..24"),
+            ((2, 2, [0, 0, 1, 1], [0, 2, 0, 1], [0.0] * 4, [True] * 4), "max_parents in 0..n_vars - 1"),
+            ((2, 1, [0, 0, 1, 1, 2], [0, 2, 0, 1, 0], [0.0] * 5, [True] * 5), "node is not in 0..1"),
+            ((2, 1, [0, 0, 1, 1], [0, 2, 0, 8], [0.0] * 4, [True] * 4), "bits beyond 2 variables"),
+            ((2, 1, [0, 0, 1, 1], [0, 1, 0, 1], [0.0] * 4, [True] * 4), "contains the node itself"),
+            ((2, 0, [0, 0, 1], [0, 2, 0], [0.0] * 3, [True] * 3), "more than 0 parents"),
+            ((2, 1, [0, 0, 1, 1], [0, 2, 0, 1], [0.0, np.nan, 0.0, 0.0], [True] * 4), "finite or -inf"),
+            ((2, 1, [0, 0, 1, 1], [0, 2, 0, 1], [0.0, np.inf, 0.0, 0.0], [True] * 4), "finite or -inf"),
+        ],
+        ids=["broadcast", "2d", "no_vars", "too_many_vars", "max_parents", "node", "mask_bits", "own_node",
+             "parent_count", "nan", "inf"],
+    )
+    def test_hand_built_arrays_are_checked_like_a_csv(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            ScoreCache(*args)
 
     def test_entries_match_single_fits(self, small_study_data):
         _, params, data = small_study_data
