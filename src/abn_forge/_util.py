@@ -63,26 +63,32 @@ def csv_text(
     return buf.getvalue()
 
 
-def csv_records(text: str, header: Sequence[str], types: Mapping[str, Callable[[str], object]]) -> list[dict]:
-    """The rows under ``header`` of a table :func:`csv_text` wrote, one dict per row.
+def csv_records(text: str, header: Sequence[str], types: Mapping[str, Callable[[str], object]]) -> list[tuple[int, dict]]:
+    """The rows under ``header`` of a table :func:`csv_text` wrote, as ``(line number, record)`` pairs.
 
-    A field named in ``types`` is converted by its callable; the others stay
-    strings.  Blank lines are skipped.  Another header, a row of another width
-    or a field that does not convert raises ``ValueError`` naming the line.
+    A record maps each column to its field, converted by the column's callable
+    in ``types`` or left a string.  Blank lines, and the ``# key: value`` lines
+    above the header, are skipped.  Another header, a row of another width or
+    a field that does not convert raises ``ValueError`` naming the line.
     """
-    reader = csv.reader(io.StringIO(text))
-    first = next(reader, None)
+    lines = io.StringIO(text)
+    headers = ((n, line) for n, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#"))
+    header_line, line = next(headers, (1, ""))  # the first line neither blank nor a comment
+    first = next(csv.reader([line]))
     if first != list(header):
         got = ",".join(first) if first else "none"
-        raise ValueError(f"line 1: expected header {','.join(header)}, got {got}")
-    rows = []
+        raise ValueError(f"line {header_line}: expected header {','.join(header)}, got {got}")
+    converters = [types.get(name, str) for name in header]
+    reader = csv.reader(lines)  # the lines below the header
+    records = []
     for raw in reader:
         if not raw:
             continue
+        number = header_line + reader.line_num
         try:
             if len(raw) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(raw)}")
-            rows.append({name: types.get(name, str)(value) for name, value in zip(header, raw)})
-        except ValueError as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    return rows
+            records.append((number, {name: convert(v) for name, convert, v in zip(header, converters, raw)}))
+        except (ValueError, OverflowError) as exc:  # OverflowError: a number too large for its column
+            raise ValueError(f"line {number}: {exc}") from exc
+    return records

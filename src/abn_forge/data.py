@@ -14,16 +14,14 @@ choice of prior starts to matter.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import json
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ._util import as_float, as_int, csv_text
+from ._util import as_float, as_int, csv_records, csv_text
 from .graph import MAX_NODES, Dag, _bit_columns, _edge_pairs, topological_order
 
 _LP_TOL = 1e-7
@@ -235,24 +233,15 @@ class Dataset:
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
         """Read a dataset written by :meth:`to_csv`; a row of the wrong width or a field other than 0/1 names its line."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty dataset file")
-        expected = [f"X{k + 1}" for k in range(len(header))]
-        if header != expected:
-            raise ValueError(f"dataset header must be {expected[:3]}..., got {header[:3]}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            bad = [v for v in row if v not in ("0", "1")]
-            if bad:
-                raise ValueError(f"line {reader.line_num}: a field must be 0 or 1, got {bad[0]!r}")
-            rows.append([v == "1" for v in row])
-        return cls(np.array(rows, dtype=np.uint8).reshape(len(rows), len(header)))
+        header = [f"X{k + 1}" for k in range(text.partition("\n")[0].count(",") + 1)]
+        records = csv_records(text, header, dict.fromkeys(header, _zero_one))
+        return cls(np.array([list(rec.values()) for _, rec in records], dtype=np.uint8).reshape(-1, len(header)))
+
+
+def _zero_one(field: str) -> bool:
+    if field not in ("0", "1"):
+        raise ValueError(f"a field must be 0 or 1, got {field!r}")
+    return field == "1"
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:

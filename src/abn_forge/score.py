@@ -34,16 +34,15 @@ stack gives each fit a row of its own, padded to the widest of the stack (see :f
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from ._util import as_int, csv_text
+from ._util import as_int, csv_records, csv_text
 from .data import (
     _CHUNK,
     AbnParams,
@@ -310,17 +309,15 @@ def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
     A fit that cannot be scored comes back with ``failure`` set, the last
     iterate as its mode and a ``log_marginal`` of -inf.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError("X must be 2-d with one response per row")
-    if not X.shape[1] or (X.shape[0] and not np.all(X[:, 0] == 1.0)):
-        raise ValueError("first design column must be the intercept")
-    if len(y) and not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("outcomes must be 0 or 1")
     patterns, successes, trials = aggregate_design(X, y)
-    width = np.array([X.shape[1]])
-    stack = _fit_aggregated(patterns[None], successes[None], trials[None], prior.terms(X.shape[1]), width)
+    # every row of X starts with 1 exactly when every distinct row does
+    if not patterns.shape[1] or not np.all(patterns[:, 0] == 1.0):
+        raise ValueError("first design column must be the intercept")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("outcomes must be 0 or 1")
+    width = np.array([patterns.shape[1]])
+    stack = _fit_aggregated(patterns[None], successes[None], trials[None], prior.terms(patterns.shape[1]), width)
     return NodeFit(stack.coef[0], stack.neg_hessian[0], *(a[0].item() for a in stack[2:6]), stack.failure[0])
 
 
@@ -574,18 +571,9 @@ class ScoreCache:
         if (np.diff(self._keys) <= 0).any():
             raise ValueError("cache arrays must have one row per entry, in ascending (node, mask) order")
 
-        # the checks of from_csv: the search indexes its tables by (node, mask), so a stray
-        # key would land in another node's row, and a nan score would never be picked
-        def reject(bad: np.ndarray, problem: str) -> None:
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"entry {i} (node {nodes[i]}, parent mask {masks[i]}): {problem}")
-
-        reject((nodes < 0) | (nodes >= n), f"node is not in 0..{n - 1}")
-        reject(masks >> n != 0, f"parent mask has bits beyond {n} variables")
-        reject(masks >> nodes & 1 == 1, "parent mask contains the node itself")
-        reject(sum(masks >> v & 1 for v in range(n)) > self.max_parents, f"more than {self.max_parents} parents")
-        reject(~(self.log_score < np.inf), "log_score must be finite or -inf")
+        _check_entries(
+            n, self.max_parents, nodes, masks, self.log_score, lambda i: f"entry {i} (node {nodes[i]}, parent mask {masks[i]})"
+        )
 
     @property
     def entries(self) -> Mapping[tuple[int, int], CacheEntry]:
@@ -628,14 +616,13 @@ class ScoreCache:
 
     @classmethod
     def from_csv(cls, text: str) -> "ScoreCache":
-        """Read a cache written by :meth:`to_csv`, its lines in any order.
+        """Read a cache written by :meth:`to_csv`: its ``#`` comments above the header, its rows in any order.
 
         A malformed or repeated line, a ``max_parents`` above ``n_vars - 1``,
         or a parent set under ``max_parents`` with no line raises ``ValueError``.
         """
         sizes: dict[str, int] = {}
         prior_label = None
-        rows = []
         for number, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition(":")
@@ -655,8 +642,8 @@ class ScoreCache:
                         raise ValueError(f"line {number}: repeated '# prior:' comment")
                     prior_label = value.strip()
             elif line.strip():
-                rows.append((number, next(csv.reader([line]))))
-        if not rows:
+                break  # the header, where csv_records starts
+        else:
             raise ValueError("empty score cache file")
         for key in ("n_vars", "max_parents"):
             if key not in sizes:
@@ -664,48 +651,65 @@ class ScoreCache:
         n_vars, max_parents = sizes["n_vars"], sizes["max_parents"]
         if max_parents > n_vars - 1:
             raise ValueError(f"max_parents must lie in 0..{n_vars - 1}")
-        (number, header), *rows = rows
-        if header != _CACHE_COLUMNS:
-            expected = ",".join(_CACHE_COLUMNS)
-            raise ValueError(f"line {number}: expected header {expected}, got {','.join(header)}")
-        entries: dict[tuple[int, int], tuple[float, bool, SeparationStatus]] = {}
-        for number, row in rows:
-            try:
-                if len(row) != len(_CACHE_COLUMNS):
-                    raise ValueError(f"expected {len(_CACHE_COLUMNS)} fields, got {len(row)}")
-                if row[3] not in ("true", "false"):
-                    raise ValueError(f"converged must be true or false, got {row[3]!r}")
-                log_score = float(row[2])
-                if math.isnan(log_score) or log_score == math.inf:
-                    raise ValueError(f"log_score must be finite or -inf, got {row[2]!r}")
-                node, mask, status = int(row[0]), int(row[1]), SeparationStatus(row[4])
-                # the search indexes its tables by (node, mask), so a stray key
-                # would land in another node's row
-                if not 0 <= node < n_vars:
-                    raise ValueError(f"node {node} is not in 0..{n_vars - 1}")
-                if not 0 <= mask < 1 << n_vars:
-                    raise ValueError(f"parent mask {mask} has bits beyond {n_vars} variables")
-                if (mask >> node) & 1:
-                    raise ValueError(f"parent mask {mask} contains node {node} itself")
-                if mask.bit_count() > max_parents:
-                    raise ValueError(f"parent mask {mask} has more than {max_parents} parents")
-                if (node, mask) in entries:
-                    raise ValueError(f"duplicate entry for node {node}, parent mask {mask}")
-            except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from exc
-            entries[(node, mask)] = (log_score, row[3] == "true", status)
+        # np.int64 turns a number too large for the arrays into an error on its line
+        types = dict(zip(_CACHE_COLUMNS, (np.int64, np.int64, float, _true_false, SeparationStatus)))
+        records = csv_records(text, _CACHE_COLUMNS, types)
+        nodes, masks, log_score, converged, statuses = ([rec[name] for _, rec in records] for name in _CACHE_COLUMNS)
+        nodes, masks, log_score = np.array(nodes, dtype=np.int64), np.array(masks, dtype=np.int64), np.array(log_score)
+        _check_entries(n_vars, max_parents, nodes, masks, log_score, lambda i: f"line {records[i][0]}")
+        keys = nodes << n_vars | masks
+        order = np.argsort(keys, kind="stable")  # a repeated key's copies in file order
+        repeats = order[1:][np.diff(keys[order]) == 0]
+        if len(repeats):
+            i = repeats.min()
+            raise ValueError(f"line {records[i][0]}: duplicate entry for node {nodes[i]}, parent mask {masks[i]}")
         # a missing set would silently drop out of the search
-        for node in range(n_vars):
-            for mask in parent_masks(n_vars, node, max_parents):
-                if (node, mask) not in entries:
-                    raise ValueError(f"missing entry for node {node}, parent mask {mask}")
-        keys = sorted(entries)
-        log_score, converged, statuses = zip(*map(entries.get, keys))
-        nodes, masks = np.array(keys).T
+        expected = [node << n_vars | np.array(parent_masks(n_vars, node, max_parents)) for node in range(n_vars)]
+        missing = np.setdiff1d(np.concatenate(expected), keys)
+        if len(missing):
+            node, mask = divmod(int(missing[0]), 1 << n_vars)
+            raise ValueError(f"missing entry for node {node}, parent mask {mask}")
         return cls(
-            n_vars, max_parents, nodes, masks, log_score, converged,
-            prior_label=prior_label or "", separations=dict(zip(keys, statuses)),
+            n_vars, max_parents, nodes[order], masks[order], log_score[order], np.array(converged, dtype=bool)[order],
+            prior_label=prior_label or "", separations=dict(zip(zip(nodes.tolist(), masks.tolist()), statuses)),
         )
+
+
+def _true_false(field: str) -> bool:
+    if field not in ("true", "false"):
+        raise ValueError(f"converged must be true or false, got {field!r}")
+    return field == "true"
+
+
+def _check_entries(
+    n_vars: int, max_parents: int, nodes: np.ndarray, masks: np.ndarray, log_score: np.ndarray, where: Callable[[int], str]
+) -> None:
+    """Raise ``ValueError`` at the first cache entry that breaks a rule, named by ``where(index)``.
+
+    The search indexes its tables by (node, mask), so a stray key would land in
+    another node's row, and a nan score would never be picked.
+    """
+    broken = np.stack(
+        [
+            (nodes < 0) | (nodes >= n_vars),
+            masks >> n_vars != 0,
+            masks >> nodes & 1 == 1,
+            sum(masks >> v & 1 for v in range(n_vars)) > max_parents,
+            ~(log_score < np.inf),
+        ]
+    )
+    rows = broken.any(axis=0)
+    if rows.any():
+        i = int(np.argmax(rows))
+        node, mask = nodes[i], masks[i]
+        rules = (
+            f"node {node} is not in 0..{n_vars - 1}",
+            f"parent mask {mask} has bits beyond {n_vars} variables",
+            f"parent mask {mask} contains node {node} itself",
+            f"parent mask {mask} has more than {max_parents} parents",
+            f"log_score must be finite or -inf, got {log_score[i]}",
+        )
+        raise ValueError(f"{where(i)}: {rules[int(np.argmax(broken[:, i]))]}")
 
 
 def parent_masks(n_vars: int, node: int, max_parents: int) -> list[int]:

@@ -157,12 +157,16 @@ class TestDatasetCsv:
         assert np.array_equal(again.values, data.values)
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^line 3: expected 2 fields, got 1$"):
             Dataset.from_csv("X1,X2\n0,1\n1\n")
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^line 2: a field must be 0 or 1, got '2'$"):
             Dataset.from_csv("X1,X2\n0,2\n")
+
+    def test_a_foreign_header_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 1: expected header X1,X2, got a,b$"):
+            Dataset.from_csv("a,b\n0,1\n")
 
 
 def table_rows(patterns, successes, trials):

@@ -14,7 +14,10 @@ from abn_forge import (
     to_cpdag,
 )
 from abn_forge import experiments, score, search
+from abn_forge._util import csv_text
 from abn_forge.experiments import (
+    RESULT_FIELDS,
+    SUMMARY_FIELDS,
     ResultRow,
     StudyConfig,
     derive_rng,
@@ -448,6 +451,17 @@ class TestResultTables:
         lines[1] = lines[1].replace(",100,", ",many,")
         with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
             results_from_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("kind", ["results", "summary"])
+    def test_comment_lines_above_the_header_are_skipped(self, kind):
+        if kind == "results":
+            fields, records, read = RESULT_FIELDS, [vars(row) for row in self.make_rows()], results_from_csv
+        else:
+            fields, records, read = SUMMARY_FIELDS, summarize_rows(self.make_rows()), summary_from_csv
+        values = [[rec[name] for name in fields] for rec in records]
+        text = csv_text(fields, values, [("study", "separation"), ("seed", 0)])
+        assert text.startswith("# study: separation\n# seed: 0\n")
+        assert read(text) == read(csv_text(fields, values))
 
     def test_summary_stats_match_numpy(self):
         rows = self.make_rows()

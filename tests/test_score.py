@@ -48,6 +48,8 @@ from test_golden import _cache as golden_cache
 from test_golden import golden_data
 
 CACHE_HEADER = "node,parent_mask,log_score,converged,separation"
+# the (node, mask) keys of a full cache at n_vars=3 and max_parents=1, in key order
+CACHE_KEYS = [f"{node},{mask}" for node in range(3) for mask in parent_masks(3, node, 1)]
 
 
 def gaussian_spec(prior: GaussianPrior, d: int) -> dict:
@@ -286,6 +288,11 @@ class TestFitNode:
         with pytest.raises(ValueError, match="intercept"):
             fit_node(np.zeros((n_obs, 0)), np.zeros(n_obs), GaussianPrior())
 
+    @pytest.mark.parametrize("X, y", [(np.ones(4), np.zeros(4)), (np.ones((4, 1)), np.zeros(3))])
+    def test_rejects_a_design_of_the_wrong_shape(self, X, y):
+        with pytest.raises(ValueError, match="^X must be 2-d with one response per row$"):
+            fit_node(X, y, GaussianPrior())
+
     def test_rejects_non_binary_outcome(self):
         X = np.ones((4, 1))
         with pytest.raises(ValueError):
@@ -444,9 +451,9 @@ class TestScoreCache:
             ((0, 0, [], [], [], []), "n_vars must lie in 1..24"),
             ((MAX_NODES + 1, 0, [0], [0], [0.0], [True]), "n_vars must lie in 1..24"),
             ((2, 2, [0, 0, 1, 1], [0, 2, 0, 1], [0.0] * 4, [True] * 4), "max_parents in 0..n_vars - 1"),
-            ((2, 1, [0, 0, 1, 1, 2], [0, 2, 0, 1, 0], [0.0] * 5, [True] * 5), "node is not in 0..1"),
+            ((2, 1, [0, 0, 1, 1, 2], [0, 2, 0, 1, 0], [0.0] * 5, [True] * 5), "node 2 is not in 0..1"),
             ((2, 1, [0, 0, 1, 1], [0, 2, 0, 8], [0.0] * 4, [True] * 4), "bits beyond 2 variables"),
-            ((2, 1, [0, 0, 1, 1], [0, 1, 0, 1], [0.0] * 4, [True] * 4), "contains the node itself"),
+            ((2, 1, [0, 0, 1, 1], [0, 1, 0, 1], [0.0] * 4, [True] * 4), "contains node 0 itself"),
             ((2, 0, [0, 0, 1], [0, 2, 0], [0.0] * 3, [True] * 3), "more than 0 parents"),
             ((2, 1, [0, 0, 1, 1], [0, 2, 0, 1], [0.0, np.nan, 0.0, 0.0], [True] * 4), "finite or -inf"),
             ((2, 1, [0, 0, 1, 1], [0, 2, 0, 1], [0.0, np.inf, 0.0, 0.0], [True] * 4), "finite or -inf"),
@@ -525,14 +532,43 @@ class TestScoreCache:
             (["# n_vars: 25", CACHE_HEADER], "line 3: n_vars must be an integer in 1..24, got '25'"),
             (["# n_vars: 0", CACHE_HEADER], "line 3: n_vars must be an integer in 1..24, got '0'"),
             (["# max_parents: -1", CACHE_HEADER], "line 3: max_parents must be an integer in 0..24"),
-            ([CACHE_HEADER, "0,0,nan,true,none"], "line 4: log_score must be finite or -inf, got 'nan'"),
-            ([CACHE_HEADER, "0,0,inf,true,none"], "line 4: log_score must be finite or -inf, got 'inf'"),
+            ([CACHE_HEADER, "0,0,nan,true,none"], "line 4: log_score must be finite or -inf, got nan"),
+            ([CACHE_HEADER, "0,0,inf,true,none"], "line 4: log_score must be finite or -inf, got inf"),
+            ([CACHE_HEADER, "99999999999999999999,0,-1.0,true,none"], "^line 4: "),  # beyond int64
         ],
     )
     def test_from_csv_rejects_malformed_lines(self, rows, message):
         text = "\n".join(["# n_vars: 3", "# max_parents: 1", *rows]) + "\n"
         with pytest.raises(ValueError, match=message):
             ScoreCache.from_csv(text)
+
+    def test_from_csv_names_the_first_bad_row_in_file_order(self):
+        # the rows run in reverse key order, so line 7 is the sixth row by key and line 12 the first
+        rows = [f"{key},-1.0,true,none" for key in CACHE_KEYS][::-1]
+        rows[3], rows[8] = rows[3].replace("-1.0", "nan"), rows[8].replace("-1.0", "inf")
+        text = "\n".join(["# n_vars: 3", "# max_parents: 1", CACHE_HEADER, *rows]) + "\n"
+        with pytest.raises(ValueError, match="^line 7: log_score must be finite or -inf"):
+            ScoreCache.from_csv(text)
+
+    def test_from_csv_names_a_repeated_key_at_its_second_copy(self):
+        rows = [f"{key},-1.0,true,none" for key in CACHE_KEYS]
+        # (0, 2) again on line 10, three rows after its first copy, and (0, 0), lower by key, on line 14
+        rows = [*rows[:6], "0,2,-2.0,true,none", *rows[6:], "0,0,-2.0,true,none"]
+        text = "\n".join(["# n_vars: 3", "# max_parents: 1", CACHE_HEADER, *rows]) + "\n"
+        with pytest.raises(ValueError, match="^line 10: duplicate entry for node 0, parent mask 2$"):
+            ScoreCache.from_csv(text)
+
+    def test_from_csv_rejects_a_comment_below_the_header(self):
+        rows = [f"{key},-1.0,true,none" for key in CACHE_KEYS]
+        text = "\n".join(["# n_vars: 3", "# max_parents: 1", CACHE_HEADER, *rows[:2], "# prior: wi", *rows[2:]]) + "\n"
+        with pytest.raises(ValueError, match="^line 6: expected 5 fields, got 1$"):
+            ScoreCache.from_csv(text)
+
+    def test_from_csv_skips_blank_lines_above_the_header(self):
+        text = (Path(__file__).resolve().parent / "golden" / "cache_st.csv").read_text()
+        comments, header, rows = text.partition(CACHE_HEADER)
+        spaced = "\n" + comments.replace("\n", "\n\n") + " \n" + header + rows
+        assert ScoreCache.from_csv(spaced).to_csv() == text
 
     @pytest.mark.parametrize(
         "dropped, message",
@@ -543,8 +579,7 @@ class TestScoreCache:
         ],
     )
     def test_from_csv_rejects_a_missing_parent_set(self, dropped, message):
-        keys = [f"{node},{mask}" for node in range(3) for mask in parent_masks(3, node, 1)]
-        rows = [f"{key},-1.0,true,none" for key in keys if key not in dropped]
+        rows = [f"{key},-1.0,true,none" for key in CACHE_KEYS if key not in dropped]
         text = "\n".join(["# n_vars: 3", "# max_parents: 1", CACHE_HEADER, *rows]) + "\n"
         with pytest.raises(ValueError, match=f"^{message}$"):
             ScoreCache.from_csv(text)
