@@ -72,8 +72,12 @@ def csv_records(text: str, header: Sequence[str], types: Mapping[str, Callable[[
     a field that does not convert raises ``ValueError`` naming the line.
     """
     lines = io.StringIO(text)
-    headers = ((n, line) for n, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#"))
-    header_line, line = next(headers, (1, ""))  # the first line neither blank nor a comment
+    header_line = 0
+    for header_line, line in enumerate(lines, start=1):
+        if line.strip() and not line.startswith("#"):
+            break  # the first line neither blank nor a comment
+    else:  # no header: the error names the line after the last one read
+        header_line, line = header_line + 1, ""
     first = next(csv.reader([line]))
     if first != list(header):
         got = ",".join(first) if first else "none"

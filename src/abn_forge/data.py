@@ -103,11 +103,13 @@ class Dataset:
     """An n_obs by n_vars matrix of 0/1 values with columns named X1..Xn."""
 
     def __init__(self, values: np.ndarray):
-        values = np.ascontiguousarray(values, dtype=np.uint8)
-        if values.ndim != 2:
+        raw = np.asarray(values)
+        if raw.ndim != 2:
             raise ValueError("dataset values must be a 2-d array")
-        if values.size and not np.isin(values, (0, 1)).all():
+        # checked before the cast, which would turn 0.5 into 0 and 256 into 0
+        if raw.size and not np.all((raw == 0) | (raw == 1)):
             raise ValueError("dataset values must be 0 or 1")
+        values = np.ascontiguousarray(raw, dtype=np.uint8)
         if values.shape[1] > MAX_NODES:
             raise ValueError(f"at most {MAX_NODES} variables supported")
         values.flags.writeable = False
@@ -118,6 +120,8 @@ class Dataset:
         self._counts = counts.astype(float)
         # the itemset moments of each size counted so far (see _moments)
         self._levels = []
+        # per parent-set size, the keys last asked for and their distinct tables (see distinct_tables)
+        self._tables = {}
 
     @property
     def n_obs(self) -> int:
@@ -151,11 +155,11 @@ class Dataset:
         ``successes`` and ``trials`` are (B, P); ``patterns`` is (B, P, k+1), or (1, P, k+1) shared
         when P = 2^k and each table lists every configuration.
 
-        The tables are counted afresh on every call and not kept.  The counts come from the
-        dataset's itemset moments (:meth:`_moments`), which are kept, so the score caches of a
-        dataset's priors share them: a key gathers the moments of every subset of its parents, with
-        and without the node, and a Mobius inversion over the parent bits turns them into trials and
-        successes per configuration.  Moments are whole numbers in float64, so every count is exact,
+        Every call counts its tables anew; :meth:`distinct_tables` keeps a size's tables for the
+        score caches.  The counts come from the dataset's itemset moments (:meth:`_moments`), which
+        are kept: a key gathers the moments of every subset of its parents, with and without the
+        node, and a Mobius inversion over the parent bits turns them into trials and successes per
+        configuration.  Moments are whole numbers in float64, so every count is exact,
         and a key costs about 2^(k+1) (k+1) operations however many distinct rows the dataset has,
         plus one binary search among the itemsets per subset of each distinct parent set.
         """
@@ -189,6 +193,31 @@ class Dataset:
             successes, trials = (np.take_along_axis(a, rows, axis=1) for a in (successes, trials))
             patterns = patterns[0, rows]
         return patterns, successes, trials
+
+    def distinct_tables(
+        self, nodes: np.ndarray, masks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct tables of :meth:`parent_tables` over these keys, and each key's table number.
+
+        Returns ``(patterns, successes, trials, number)``: table ``number[i]`` is key i's, and the
+        tables ascend by the bytes of their counts, then of their patterns.  The tables of one
+        parent-set size are counted and numbered once, for the keys last asked for at that size, and
+        kept while the dataset lives, read-only: a study cell scores every prior on one dataset, and
+        each of its score caches asks for every key of every size.
+        """
+        nodes, masks = np.asarray(nodes, dtype=np.int64), np.asarray(masks, dtype=np.int64)
+        size = int(masks[0]).bit_count()
+        kept = self._tables.get(size)
+        if kept is not None and np.array_equal(kept[0], nodes) and np.array_equal(kept[1], masks):
+            return kept[2]
+        patterns, successes, trials = self.parent_tables(nodes, masks)
+        columns = [successes, trials] if len(patterns) == 1 else [successes, trials, patterns.reshape(len(masks), -1)]
+        first, number = _distinct_rows(np.hstack(columns))
+        tables = (patterns if len(patterns) == 1 else patterns[first], successes[first], trials[first], number)
+        for a in tables:
+            a.flags.writeable = False
+        self._tables[size] = (nodes.copy(), masks.copy(), tables)
+        return tables
 
     def _moments(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The itemsets T of <= ``size`` bits as ascending masks, with m(T) and ``joined``, m(T | {x}) per x.
@@ -233,9 +262,25 @@ class Dataset:
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
         """Read a dataset written by :meth:`to_csv`; a row of the wrong width or a field other than 0/1 names its line."""
-        header = [f"X{k + 1}" for k in range(text.partition("\n")[0].count(",") + 1)]
+        # the width of the first line neither blank nor a comment, where csv_records looks for the header
+        line = next((line for line in text.split("\n") if line.strip() and not line.startswith("#")), "")
+        header = [f"X{k + 1}" for k in range(line.count(",") + 1)]
         records = csv_records(text, header, dict.fromkeys(header, _zero_one))
         return cls(np.array([list(rec.values()) for _, rec in records], dtype=np.uint8).reshape(-1, len(header)))
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct row of a 2-d float array first stands, and each row's distinct number.
+
+    Rows compare by their bytes, after adding 0.0 turns -0.0 into 0.0, which a float comparison
+    holds equal; the distinct rows are numbered in the order of their bytes.
+    """
+    if not rows.shape[1]:  # the tables of an empty dataset: every row is the empty row
+        return np.zeros(min(len(rows), 1), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+    rows = np.ascontiguousarray(rows + 0.0)
+    keyed = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, number = np.unique(keyed, return_index=True, return_inverse=True)
+    return first, number.reshape(-1)
 
 
 def _zero_one(field: str) -> bool:

@@ -48,6 +48,7 @@ from .data import (
     AbnParams,
     Dataset,
     SeparationStatus,
+    _distinct_rows,
     _expit,
     _log,
     aggregate_design,
@@ -790,7 +791,10 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     Scores are Laplace log marginal likelihoods; a fit that fails enters the
     cache as -inf with its ``NodeFit.failure`` as a diagnostic, so downstream
     search simply never picks it.  Each distinct (table, prior row) of one
-    parent-set size is fit once, and the distinct fits of all sizes, in
+    parent-set size is fit once: the dataset counts and numbers a size's
+    distinct tables once for all the priors scored on it
+    (:meth:`Dataset.distinct_tables`), and a prior with a row per parent set
+    refines that numbering by its rows.  The distinct fits of all sizes, in
     ascending size, share stacks of at most about ``_CHUNK`` padded working
     elements, so a cache runs about as many sweeps as its slowest fit.  A
     score depends on its table and prior alone, so the cache is a pure
@@ -815,19 +819,16 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     distinct, start = np.empty(len(masks), dtype=np.int64), 0  # the number of each key's distinct fit
     for size in range(max_parents + 1):
         at = np.flatnonzero(sizes == size)
-        patterns, successes, trials = data.parent_tables(nodes[at], masks[at])
+        patterns, successes, trials, number = data.distinct_tables(nodes[at], masks[at])
         terms = prior.for_masks(nodes[at], masks[at])
-        # fit each distinct (table, prior row) once, found by the bytes of its row; adding 0.0 turns
-        # -0.0 into 0.0, which a float comparison holds equal
-        columns = [successes, trials, *(np.broadcast_to(a, (len(at), size + 1)) for a in terms[:2])]
-        if len(patterns) > 1:
-            columns.append(patterns.reshape(len(at), -1))
-        keyed = np.hstack(columns) + 0.0
-        keyed = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1])))[:, 0]
-        _, first, inverse = np.unique(keyed, return_index=True, return_inverse=True)
-        distinct[at] = start + inverse.reshape(-1)
-        groups.append(_Distinct(start, _per_fit(patterns, first), successes[first], trials[first], terms.take(first)))
-        start += len(first)
+        if len(terms.centre) > 1:  # a prior row per key: fit each distinct (table, prior row) once
+            first, fit_number = _distinct_rows(np.column_stack([number, *terms[:2]]))
+            table = number[first]
+            patterns, successes, trials = _per_fit(patterns, table), successes[table], trials[table]
+            terms, number = terms.take(first), fit_number
+        distinct[at] = start + number
+        groups.append(_Distinct(start, patterns, successes, trials, terms))
+        start += len(successes)
     fits = [_fit_aggregated(*_stack(groups, lo, hi)) for lo, hi in _chunks(groups)]
     log_score = np.concatenate([fit.log_marginal for fit in fits])[distinct]
     converged = np.concatenate([fit.converged for fit in fits])[distinct]

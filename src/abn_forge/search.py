@@ -130,18 +130,16 @@ def _popcounts(bits: int) -> np.ndarray:
 
 
 def _low_steps(b: int):
-    """Per size, the masks over b - 1 bits of that size, a low sink's candidates with its bit squeezed out, and their pushes."""
+    """Per size, the masks ``xs`` over b - 1 bits of that size, a low sink's candidates with its bit squeezed out, and their pushes.
+
+    The pushes are two (b, len(xs)) arrays: row j holds ``xs`` with a zero bit inserted at j, then the same with j set.
+    """
     popcount = _popcounts(b - 1)
+    bits = 1 << np.arange(b)[:, None]
     for card in range(b):
         xs = np.flatnonzero(popcount == card)
-        yield xs, _pushes(xs, b)
-
-
-def _pushes(xs: np.ndarray, b: int):
-    """Per low sink j, the low parts ``xs`` with a zero bit inserted at j, and the same with j set."""
-    for j in range(b):
-        rest = xs + (xs & -(1 << j))  # a zero bit inserted at j
-        yield rest, rest | (1 << j)
+        rest = xs + (xs & -bits)  # a zero bit inserted at each j
+        yield xs, rest, rest | bits
 
 
 def _sink_table(table: BestParentTable, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +164,8 @@ def _sink_table(table: BestParentTable, b: int) -> tuple[np.ndarray, np.ndarray]
     low_steps = _low_steps(b)
     if h:
         # every layer walks the same pushes; a table of one row walks them
-        # once, as they are made, so it holds one push's index arrays at a time
-        low_steps = [(xs, list(pushes)) for xs, pushes in low_steps]
+        # once, as they are made, so it holds one size's index arrays at a time
+        low_steps = list(low_steps)
     for size in range(h + 1):
         lo, hi = starts[size], starts[size + 1]
         if size:
@@ -218,11 +216,11 @@ def _low_sinks(table: BestParentTable, layer, highs, b: int, low_steps) -> None:
     else:
         block = layer.T.copy()
         ranks = ranks.take(highs, axis=1).transpose(0, 2, 1).copy()
-    for xs, pushes in low_steps:
+    for xs, rests, grown in low_steps:
         size_ranks = ranks.take(xs, 1)
-        for j, (rest, grown) in enumerate(pushes):
-            value = block.take(rest, 0) + table.ranked_score[j].take(size_ranks[j])
-            block[grown] = np.maximum(block.take(grown, 0), value)
+        for j in range(b):
+            value = block.take(rests[j], 0) + table.ranked_score[j].take(size_ranks[j])
+            block[grown[j]] = np.maximum(block.take(grown[j], 0), value)
     if len(highs) > 1:
         layer[...] = block.T
 

@@ -168,6 +168,27 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="^line 1: expected header X1,X2, got a,b$"):
             Dataset.from_csv("a,b\n0,1\n")
 
+    def test_comment_and_blank_lines_above_the_header(self):
+        assert Dataset.from_csv("# seed: 0\n\nX1,X2\n0,1\n").values.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("text, line", [("", 1), ("# only\n", 2), ("# only", 2), ("# a\n\n", 3)])
+    def test_a_file_without_a_header_names_the_line_after_the_last(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: expected header X1, got none$"):
+            Dataset.from_csv(text)
+
+
+class TestDatasetValues:
+    @pytest.mark.parametrize("bad", [0.5, 1.7, 256, -1, np.nan])
+    def test_rejects_values_the_cast_would_hide(self, bad):
+        # a uint8 cast would store 0.5 and 256 as 0, 1.7 as 1
+        with pytest.raises(ValueError, match="^dataset values must be 0 or 1$"):
+            Dataset(np.array([[0, 1, bad]]))
+
+    def test_accepts_zero_one_floats_and_bools(self):
+        data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert data.values.dtype == np.uint8 and data.values.tolist() == [[0, 1], [1, 0]]
+        assert Dataset(np.array([[True, False]])).values.tolist() == [[1, 0]]
+
 
 def table_rows(patterns, successes, trials):
     """A (patterns, successes, trials) table as sorted rows, to compare tables as multisets."""
@@ -238,6 +259,19 @@ class TestParentTable:
                 for got, expected in zip(table, reference):
                     assert (got.shape, got.dtype) == (expected.shape, expected.dtype), (n, size)
                     assert got.tobytes() == expected.tobytes(), (n, size)
+
+    @pytest.mark.parametrize("n_obs", [30, 0])
+    def test_distinct_tables_number_each_keys_table(self, n_obs):
+        data = Dataset(np.random.default_rng(8).integers(0, 2, (n_obs, 5)))
+        nodes = np.repeat(np.arange(5), 6)
+        masks = np.array([mask for node in range(5) for mask in range(32) if mask.bit_count() == 2 and not mask >> node & 1])
+        for keys in ((nodes, masks), (nodes[::2], masks[::2]), (nodes, masks)):
+            *tables, number = data.distinct_tables(*keys)
+            expected = data.parent_tables(*keys)
+            assert data.distinct_tables(*keys)[0] is tables[0]  # kept for the same keys
+            assert len(number) == len(keys[0]) and len(tables[1]) == number.max() + 1
+            for got, full in zip(tables, expected):  # one row serves every key
+                assert np.array_equal(*np.broadcast_arrays(got if len(got) == 1 else got[number], full))
 
     def test_rejects_node_out_of_range(self, collider_params):
         data = sample(collider_params, 10, np.random.default_rng(7))

@@ -682,6 +682,43 @@ def separated_data():
     return sample(truth, 40, np.random.default_rng(3))
 
 
+class TestTablesSharedByPriors:
+    """A dataset keeps each size's distinct tables, so every prior of a cell reads one count."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_caches_on_one_dataset_equal_caches_on_fresh_ones(self, seed):
+        rng = np.random.default_rng(seed)
+        truth = AbnParams.balanced(random_dag(5, 0.8, rng))
+        data = sample(truth, 40 + 30 * seed, rng)
+        priors = {name: prior_from_name(name, truth=truth) for name in ("wi", "st", "si")}
+        for order in (("wi", "st", "si"), ("si", "st", "wi")):
+            shared = Dataset(data.values)
+            for max_parents in (4, 2):
+                for name in order:
+                    got = build_score_cache(shared, priors[name], max_parents)
+                    expected = build_score_cache(Dataset(data.values), priors[name], max_parents)
+                    assert got.log_score.tobytes() == expected.log_score.tobytes(), (order, max_parents, name)
+                    assert got.converged.tobytes() == expected.converged.tobytes()
+                    assert got.diagnostics == expected.diagnostics
+
+    def test_a_three_prior_cell_counts_each_size_once(self, monkeypatch):
+        sizes = []
+        count = Dataset.parent_tables
+
+        def counting(self, nodes, masks):
+            sizes.append(int(masks[0]).bit_count())
+            return count(self, nodes, masks)
+
+        monkeypatch.setattr(Dataset, "parent_tables", counting)
+        config = StudyConfig(
+            study="lindley", n_nodes=4, densities=(0.5,), sample_sizes=(50,), replicates=1,
+            priors=("wi", "st", "si"), master_seed=3,
+        )
+        rows = run_study(config, workers=1)
+        assert len(rows) == 3 and not any(row.note.startswith("error") for row in rows)
+        assert sorted(sizes) == [0, 1, 2, 3]
+
+
 class TestSeparationOnDemand:
     def test_building_a_cache_classifies_nothing(self, separated_data, separation_calls):
         for prior in (GaussianPrior(), StudentTPrior()):
