@@ -63,18 +63,22 @@ def csv_text(
     return buf.getvalue()
 
 
-def csv_records(text: str, header: Sequence[str], types: Mapping[str, Callable[[str], object]]) -> list[tuple[int, dict]]:
-    """The rows under ``header`` of a table :func:`csv_text` wrote, as ``(line number, record)`` pairs.
+def csv_records(text: str, header: Sequence[str], types: Mapping[str, Callable[[str], object]]) -> tuple[list, list]:
+    """The comments and the rows under ``header`` of a table :func:`csv_text` wrote.
 
-    A record maps each column to its field, converted by the column's callable
-    in ``types`` or left a string.  Blank lines, and the ``# key: value`` lines
-    above the header, are skipped.  Another header, a row of another width or
-    a field that does not convert raises ``ValueError`` naming the line.
+    The comments are the ``# key: value`` lines above the header, as ``(line number, key, value)``
+    with the value stripped; the rows are ``(line number, record)`` pairs.  A record lists the
+    fields in header order, each converted by its column's callable in ``types`` or left a
+    string.  Blank lines are skipped.  Another header, a row of another width or a field that
+    does not convert raises ``ValueError`` naming the line.
     """
     lines = io.StringIO(text)
-    header_line = 0
+    comments, header_line = [], 0
     for header_line, line in enumerate(lines, start=1):
-        if line.strip() and not line.startswith("#"):
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition(":")
+            comments.append((header_line, key, value.strip()))
+        elif line.strip():
             break  # the first line neither blank nor a comment
     else:  # no header: the error names the line after the last one read
         header_line, line = header_line + 1, ""
@@ -92,7 +96,7 @@ def csv_records(text: str, header: Sequence[str], types: Mapping[str, Callable[[
         try:
             if len(raw) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(raw)}")
-            records.append((number, {name: convert(v) for name, convert, v in zip(header, converters, raw)}))
+            records.append((number, [convert(v) for convert, v in zip(converters, raw)]))
         except (ValueError, OverflowError) as exc:  # OverflowError: a number too large for its column
             raise ValueError(f"line {number}: {exc}") from exc
-    return records
+    return comments, records

@@ -134,7 +134,7 @@ def _cmd_score(args) -> None:
         raise CliError(2, str(exc)) from exc
     atomic_write_text(args.out, cache.to_csv())
     # to_csv classified every entry, so the tally reads the statuses it wrote
-    tally = Counter(map(cache.separation, cache.nodes.tolist(), cache.masks.tolist()))
+    tally = Counter(cache.separation().tolist())
     separation = ", ".join(f"{tally[status]} {status.value}" for status in SeparationStatus)
     print(
         f"wrote {args.out}: {cache.total_entries()} entries for {cache.n_vars} nodes "

@@ -131,19 +131,6 @@ class Dataset:
     def n_vars(self) -> int:
         return self.values.shape[1]
 
-    def parent_table(self, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
-
-        The one-key case of :meth:`parent_tables`: the observed configurations, and no padding.
-        """
-        if not 0 <= node < self.n_vars:
-            raise ValueError(f"node {node} out of range")
-        if (parent_mask >> node) & 1:
-            raise ValueError(f"node {node} cannot be its own parent")
-        if parent_mask & ~((1 << self.n_vars) - 1):
-            raise ValueError("parent mask references variables beyond the dataset")
-        return tuple(table[0] for table in self.parent_tables(np.array([node]), np.array([parent_mask])))
-
     def parent_tables(
         self, nodes: np.ndarray, masks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,8 +252,8 @@ class Dataset:
         # the width of the first line neither blank nor a comment, where csv_records looks for the header
         line = next((line for line in text.split("\n") if line.strip() and not line.startswith("#")), "")
         header = [f"X{k + 1}" for k in range(line.count(",") + 1)]
-        records = csv_records(text, header, dict.fromkeys(header, _zero_one))
-        return cls(np.array([list(rec.values()) for _, rec in records], dtype=np.uint8).reshape(-1, len(header)))
+        _, records = csv_records(text, header, dict.fromkeys(header, _zero_one))
+        return cls(np.array([rec for _, rec in records], dtype=np.uint8).reshape(-1, len(header)))
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +338,7 @@ def aggregate_design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     sorts, which also makes the result independent of row order.  This is
     the path for free designs (``score.fit_node``, :func:`separation_of_design`),
     whose columns need not be 0/1 data columns and so cannot be packed into
-    integers; a dataset's parent set goes through :meth:`Dataset.parent_table`.
+    integers; a dataset's parent sets go through :meth:`Dataset.parent_tables`.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

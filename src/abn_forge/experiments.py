@@ -319,7 +319,8 @@ def timings_to_csv(rows: Sequence[ResultRow]) -> str:
 
 
 def results_from_csv(text: str) -> list[ResultRow]:
-    return [ResultRow(**rec) for _, rec in csv_records(text, RESULT_FIELDS, get_type_hints(ResultRow))]
+    _, records = csv_records(text, RESULT_FIELDS, get_type_hints(ResultRow))
+    return [ResultRow(**dict(zip(RESULT_FIELDS, rec))) for _, rec in records]
 
 
 SUMMARY_FIELDS = (
@@ -374,4 +375,5 @@ def summary_to_csv(summary: Sequence[dict]) -> str:
 def summary_from_csv(text: str) -> list[dict]:
     stats = SUMMARY_FIELDS[SUMMARY_FIELDS.index("mean") :]  # mean through hi, as summarize_rows computes them
     types = {**dict.fromkeys(("density", *stats), float), "n_obs": int, "count": int}
-    return [rec for _, rec in csv_records(text, SUMMARY_FIELDS, types)]
+    _, records = csv_records(text, SUMMARY_FIELDS, types)
+    return [dict(zip(SUMMARY_FIELDS, rec)) for _, rec in records]

@@ -542,10 +542,9 @@ class ScoreCache:
     Entry i scores node ``nodes[i]`` on parent mask ``masks[i]``; the entries run node-major with
     masks ascending, the order of :func:`parent_masks`, so their keys ``node << n_vars | mask``
     ascend.  A cache built in code may leave keys out, and the search never picks them.
-    The separation status of an entry is not needed to score or search, so a
-    cache built from data classifies an entry's table only when
-    :meth:`separation` asks for it, and keeps the answer in ``separations``.
-    A cache read from CSV has every status from the file's column.
+    ``separations`` is each entry's separation status, in the same order.  Neither scoring nor
+    search needs it, so a cache built from data leaves it ``None`` until :meth:`separation` first
+    asks; a cache read from CSV has it from the file's column.
     """
 
     n_vars: int
@@ -556,13 +555,16 @@ class ScoreCache:
     converged: np.ndarray
     diagnostics: list[tuple[int, int, str]] = field(default_factory=list)
     prior_label: str = ""
-    separations: dict[tuple[int, int], SeparationStatus] = field(default_factory=dict)
+    separations: np.ndarray | None = None
     data: Dataset | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes, self.masks = (np.asarray(a, dtype=np.int64) for a in (self.nodes, self.masks))
         self.log_score, self.converged = np.asarray(self.log_score, dtype=float), np.asarray(self.converged, dtype=bool)
         arrays = (self.nodes, self.masks, self.log_score, self.converged)
+        if self.separations is not None:
+            self.separations = np.asarray(self.separations, dtype=object)
+            arrays += (self.separations,)
         if any(a.ndim != 1 or len(a) != len(self.nodes) for a in arrays):
             raise ValueError("cache arrays must have one row per entry, in ascending (node, mask) order")
         n, nodes, masks = self.n_vars, self.nodes, self.masks
@@ -589,17 +591,26 @@ class ScoreCache:
             return float(self.log_score[i])
         raise KeyError((node, parent_mask))
 
-    def separation(self, node: int, parent_mask: int) -> SeparationStatus:
-        """Albert-Anderson status of one entry's table, classified on first request."""
-        key = (node, parent_mask)
-        status = self.separations.get(key)
-        if status is None:
-            self.score(node, parent_mask)  # a KeyError for an uncached key
+    def separation(self) -> np.ndarray:
+        """The Albert-Anderson status of every entry's table, in entry order, classified on the first call.
+
+        Each size's keys read their distinct tables from the data (:meth:`Dataset.distinct_tables`,
+        kept from the build), and each distinct table is classified once, on its observed rows.
+        """
+        if self.separations is None:
             if self.data is None:
-                raise ValueError(f"no separation status for {key} and no data to classify it")
-            table = self.data.parent_table(node, parent_mask)
-            status = self.separations[key] = separation_of_patterns(*table)
-        return status
+                raise ValueError("no separation statuses and no data to classify them")
+            statuses = np.empty(len(self.masks), dtype=object)
+            sizes = _sizes(self.masks, self.n_vars)
+            for size in np.unique(sizes):
+                at = np.flatnonzero(sizes == size)
+                patterns, successes, trials, number = self.data.distinct_tables(self.nodes[at], self.masks[at])
+                patterns = np.broadcast_to(patterns, (len(trials), *patterns.shape[1:]))
+                tables = zip(patterns, successes, trials, trials > 0)
+                found = [separation_of_patterns(p[seen], s[seen], t[seen]) for p, s, t, seen in tables]
+                statuses[at] = np.array(found, dtype=object)[number]
+            self.separations = statuses
+        return self.separations
 
     def total_entries(self) -> int:
         return len(self.log_score)
@@ -610,8 +621,8 @@ class ScoreCache:
             comments["prior"] = self.prior_label
         columns = (a.tolist() for a in (self.nodes, self.masks, self.log_score, self.converged))
         rows = (
-            [node, mask, score, "true" if ok else "false", self.separation(node, mask).value]
-            for node, mask, score, ok in zip(*columns)
+            [node, mask, score, "true" if ok else "false", status.value]
+            for node, mask, score, ok, status in zip(*columns, self.separation())
         )
         return csv_text(_CACHE_COLUMNS, rows, comments.items())
 
@@ -622,40 +633,30 @@ class ScoreCache:
         A malformed or repeated line, a ``max_parents`` above ``n_vars - 1``,
         or a parent set under ``max_parents`` with no line raises ``ValueError``.
         """
+        # np.int64 turns a number too large for the arrays into an error on its line
+        types = dict(zip(_CACHE_COLUMNS, (np.int64, np.int64, float, _true_false, SeparationStatus)))
+        comments, records = csv_records(text, _CACHE_COLUMNS, types)
         sizes: dict[str, int] = {}
         prior_label = None
-        for number, line in enumerate(text.splitlines(), start=1):
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition(":")
-                if key in ("n_vars", "max_parents"):
-                    value = value.strip()
-                    least = 1 if key == "n_vars" else 0
-                    if not (value.isascii() and value.isdigit() and least <= int(value) <= MAX_NODES):
-                        raise ValueError(
-                            f"line {number}: {key} must be an integer in {least}..{MAX_NODES}, "
-                            f"got {value!r}"
-                        )
-                    if key in sizes:
-                        raise ValueError(f"line {number}: repeated '# {key}:' comment")
-                    sizes[key] = int(value)
-                elif key == "prior":
-                    if prior_label is not None:
-                        raise ValueError(f"line {number}: repeated '# prior:' comment")
-                    prior_label = value.strip()
-            elif line.strip():
-                break  # the header, where csv_records starts
-        else:
-            raise ValueError("empty score cache file")
+        for number, key, value in comments:
+            if key in ("n_vars", "max_parents"):
+                least = 1 if key == "n_vars" else 0
+                if not (value.isascii() and value.isdigit() and least <= int(value) <= MAX_NODES):
+                    raise ValueError(f"line {number}: {key} must be an integer in {least}..{MAX_NODES}, got {value!r}")
+                if key in sizes:
+                    raise ValueError(f"line {number}: repeated '# {key}:' comment")
+                sizes[key] = int(value)
+            elif key == "prior":
+                if prior_label is not None:
+                    raise ValueError(f"line {number}: repeated '# prior:' comment")
+                prior_label = value
         for key in ("n_vars", "max_parents"):
             if key not in sizes:
                 raise ValueError(f"missing '# {key}:' comment")
         n_vars, max_parents = sizes["n_vars"], sizes["max_parents"]
         if max_parents > n_vars - 1:
             raise ValueError(f"max_parents must lie in 0..{n_vars - 1}")
-        # np.int64 turns a number too large for the arrays into an error on its line
-        types = dict(zip(_CACHE_COLUMNS, (np.int64, np.int64, float, _true_false, SeparationStatus)))
-        records = csv_records(text, _CACHE_COLUMNS, types)
-        nodes, masks, log_score, converged, statuses = ([rec[name] for _, rec in records] for name in _CACHE_COLUMNS)
+        nodes, masks, log_score, converged, statuses = ([rec[i] for _, rec in records] for i in range(len(_CACHE_COLUMNS)))
         nodes, masks, log_score = np.array(nodes, dtype=np.int64), np.array(masks, dtype=np.int64), np.array(log_score)
         _check_entries(n_vars, max_parents, nodes, masks, log_score, lambda i: f"line {records[i][0]}")
         keys = nodes << n_vars | masks
@@ -672,7 +673,7 @@ class ScoreCache:
             raise ValueError(f"missing entry for node {node}, parent mask {mask}")
         return cls(
             n_vars, max_parents, nodes[order], masks[order], log_score[order], np.array(converged, dtype=bool)[order],
-            prior_label=prior_label or "", separations=dict(zip(zip(nodes.tolist(), masks.tolist()), statuses)),
+            prior_label=prior_label or "", separations=np.array(statuses, dtype=object)[order],
         )
 
 
@@ -695,7 +696,7 @@ def _check_entries(
             (nodes < 0) | (nodes >= n_vars),
             masks >> n_vars != 0,
             masks >> nodes & 1 == 1,
-            sum(masks >> v & 1 for v in range(n_vars)) > max_parents,
+            _sizes(masks, n_vars) > max_parents,
             ~(log_score < np.inf),
         ]
     )
@@ -711,6 +712,11 @@ def _check_entries(
             f"log_score must be finite or -inf, got {log_score[i]}",
         )
         raise ValueError(f"{where(i)}: {rules[int(np.argmax(broken[:, i]))]}")
+
+
+def _sizes(masks: np.ndarray, n_vars: int) -> np.ndarray:
+    """The parent count of each mask, over its low ``n_vars`` bits."""
+    return ((masks[:, None] >> np.arange(n_vars)) & 1).sum(axis=1)
 
 
 def parent_masks(n_vars: int, node: int, max_parents: int) -> list[int]:
@@ -800,7 +806,7 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     score depends on its table and prior alone, so the cache is a pure
     function of the data multiset.  No table is classified for separation
     here; the cache keeps ``data`` so that :meth:`ScoreCache.separation` can
-    do it on request.
+    classify the same distinct tables on request.
     """
     n = data.n_vars
     if n < 1:
@@ -814,7 +820,7 @@ def build_score_cache(data: Dataset, prior: Prior, max_parents: int | None = Non
     per_node = [parent_masks(n, node, max_parents) for node in range(n)]
     nodes = np.repeat(np.arange(n, dtype=np.int64), [len(masks) for masks in per_node])
     masks = np.concatenate(per_node).astype(np.int64, copy=False)
-    sizes = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    sizes = _sizes(masks, n)
     groups: list[_Distinct] = []
     distinct, start = np.empty(len(masks), dtype=np.int64), 0  # the number of each key's distinct fit
     for size in range(max_parents + 1):

@@ -8,6 +8,7 @@ for bit, by a float-and-mask subset sweep with a pull-form sink DP),
 marginal likelihoods by numerical integration, the unpenalised MLE by a
 plain Newton loop, a penalised fit by a scalar IRLS loop over one table with
 the library's rules, and a node's design by one explicit row per observation.
+``parent_table`` is the one exception: the library's own table builder, for one key.
 """
 
 from __future__ import annotations
@@ -711,6 +712,20 @@ def explicit_design(data: Dataset, node: int, parent_mask: int) -> tuple[np.ndar
     parents = [k for k in range(data.n_vars) if (parent_mask >> k) & 1]
     X = np.column_stack([np.ones(data.n_obs)] + [data.values[:, k] for k in parents])
     return X.astype(float), data.values[:, node].astype(float)
+
+
+def parent_table(data: Dataset, node: int, parent_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One node's aggregated design over ``parent_mask``: (patterns, successes, trials).
+
+    The one-key case of :meth:`Dataset.parent_tables`: the observed configurations, and no padding.
+    """
+    if not 0 <= node < data.n_vars:
+        raise ValueError(f"node {node} out of range")
+    if (parent_mask >> node) & 1:
+        raise ValueError(f"node {node} cannot be its own parent")
+    if parent_mask & ~((1 << data.n_vars) - 1):
+        raise ValueError("parent mask references variables beyond the dataset")
+    return tuple(table[0] for table in data.parent_tables(np.array([node]), np.array([parent_mask])))
 
 
 def reference_parent_tables(data: Dataset, nodes, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from abn_forge import (
 from abn_forge import data as data_module
 from abn_forge.data import separation_of_patterns
 from abn_forge.graph import MAX_NODES
-from oracles import explicit_design, fm_separation, reference_parent_tables
+from oracles import explicit_design, fm_separation, parent_table, reference_parent_tables
 
 
 @pytest.fixture
@@ -198,7 +198,7 @@ def table_rows(patterns, successes, trials):
 class TestParentTable:
     def test_empty_mask_gives_intercept_only(self, collider_params):
         data = sample(collider_params, 25, np.random.default_rng(5))
-        patterns, successes, trials = data.parent_table(2, 0)
+        patterns, successes, trials = parent_table(data, 2, 0)
         assert patterns.tolist() == [[1.0]]
         assert trials.tolist() == [25.0]
         assert successes.tolist() == [float(data.values[:, 2].sum())]
@@ -210,7 +210,7 @@ class TestParentTable:
             [[1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [1, 1, 1, 1]],
             dtype=np.uint8,
         )
-        patterns, successes, trials = Dataset(values).parent_table(3, 0b0101)
+        patterns, successes, trials = parent_table(Dataset(values), 3, 0b0101)
         assert patterns.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
         assert successes.tolist() == [0.0, 1.0, 2.0]
         assert trials.tolist() == [2.0, 2.0, 2.0]
@@ -226,7 +226,7 @@ class TestParentTable:
             for mask in range(1 << n_vars):
                 if (mask >> node) & 1:
                     continue
-                table = data.parent_table(node, mask)
+                table = parent_table(data, node, mask)
                 reference = aggregate_design(*explicit_design(data, node, mask))
                 assert table[0].shape[1] == reference[0].shape[1] == 1 + mask.bit_count()
                 assert table_rows(*table) == table_rows(*reference)
@@ -277,18 +277,18 @@ class TestParentTable:
         data = sample(collider_params, 10, np.random.default_rng(7))
         for node in (-1, 4):
             with pytest.raises(ValueError, match="out of range"):
-                data.parent_table(node, 0)
+                parent_table(data, node, 0)
 
     def test_rejects_node_inside_mask(self, collider_params):
         data = sample(collider_params, 10, np.random.default_rng(7))
         with pytest.raises(ValueError, match="own parent"):
-            data.parent_table(1, 0b0010)
+            parent_table(data, 1, 0b0010)
 
     def test_rejects_bits_beyond_n_vars(self, collider_params):
         data = sample(collider_params, 10, np.random.default_rng(7))
         for mask in (0b10000, -2):
             with pytest.raises(ValueError, match="beyond the dataset"):
-                data.parent_table(0, mask)
+                parent_table(data, 0, mask)
 
 
 class TestAggregateDesign:
@@ -371,7 +371,7 @@ class TestSeparationStatus:
 
     def test_parent_table_classifies_the_named_column(self, collider_params):
         data = sample(collider_params, 200, np.random.default_rng(8))
-        status = separation_of_patterns(*data.parent_table(3, 0b0100))
+        status = separation_of_patterns(*parent_table(data, 3, 0b0100))
         assert status == separation_of_design(*explicit_design(data, 3, 0b0100))
 
     @given(st.integers(0, 100_000))

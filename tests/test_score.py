@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import expit
@@ -27,6 +27,7 @@ from abn_forge import (
     separation_of_design,
 )
 from abn_forge import score as score_module
+from abn_forge.data import separation_of_patterns
 from abn_forge.experiments import StudyConfig, run_study
 from abn_forge.graph import MAX_NODES
 from abn_forge.score import PriorTerms, _fit_aggregated, _laplace_value, parent_masks
@@ -36,6 +37,7 @@ from oracles import (
     gauss_hermite_log_marginal,
     newton_mle,
     norm_logpdf,
+    parent_table,
     prior_for_node,
     quad_log_marginal,
     ref_log_posterior,
@@ -430,8 +432,6 @@ class TestScoreCache:
         cache = build_score_cache(data, GaussianPrior(), max_parents=1)
         with pytest.raises(KeyError):
             cache.score(*key)
-        with pytest.raises(KeyError):
-            cache.separation(*key)
 
     def test_hand_built_arrays_run_in_key_order(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -440,6 +440,8 @@ class TestScoreCache:
             ScoreCache(2, 1, [0, 0], [1, 1], [0.0, 0.0], [True, True])
         with pytest.raises(ValueError, match="one row per entry"):
             ScoreCache(2, 1, [0, 1], [0, 0], [0.0], [True, True])
+        with pytest.raises(ValueError, match="one row per entry"):
+            ScoreCache(2, 1, [0, 1], [0, 0], [0.0, 0.0], [True, True], separations=[SeparationStatus.NONE])
 
     # a hand-built cache is held to the rules of from_csv; the full cache at n_vars=2 and
     # max_parents=1 is nodes (0, 0, 1, 1) on masks (0, 2, 0, 1)
@@ -637,8 +639,7 @@ class TestScoreCache:
         monkeypatch.setattr(Dataset, "_moments", count)
         for name in ("wi", "st", "si"):
             cache = build_score_cache(data, prior_from_name(name, truth=truth))
-        for key in cache.entries:
-            cache.separation(*key)
+        cache.separation()
         assert counted == [0, 1, 2, 3, 4]  # each size once, for all three priors and every table after
 
     def test_failed_fits_get_floor_score_and_diagnostics(self):
@@ -739,28 +740,59 @@ class TestSeparationOnDemand:
         assert separation_calls == []
 
     def test_each_entry_is_classified_once(self, separated_data, separation_calls):
+        # once through its size's distinct table, which the entries of equal tables share
         cache = build_score_cache(separated_data, GaussianPrior())
         first = cache.to_csv()
-        assert len(separation_calls) == cache.total_entries()
+        sizes = np.array([mask.bit_count() for mask in cache.masks.tolist()])
+        tables = sum(
+            len(separated_data.distinct_tables(cache.nodes[sizes == k], cache.masks[sizes == k])[1]) for k in range(4)
+        )
+        assert len(separation_calls) == tables < cache.total_entries()
         assert cache.to_csv() == first
-        assert len(separation_calls) == cache.total_entries()
+        assert len(separation_calls) == tables
+
+    @pytest.mark.parametrize("n_obs, max_parents", [(12, 4), (40, 2), (0, 4)])
+    def test_each_distinct_table_is_classified_once(self, separation_calls, n_obs, max_parents):
+        # counted apart from the library: a table per key from its explicit design, kept per size
+        data = sample(AbnParams.balanced(random_dag(5, 0.8, np.random.default_rng(n_obs))), n_obs, np.random.default_rng(1))
+        cache = build_score_cache(data, GaussianPrior(), max_parents)
+        tables = set()
+        for node, mask in zip(cache.nodes.tolist(), cache.masks.tolist()):
+            patterns, successes, trials = aggregate_design(*explicit_design(data, node, mask))
+            tables.add((mask.bit_count(), patterns.tobytes(), successes.tobytes(), trials.tobytes()))
+        cache.separation()
+        assert len(separation_calls) == len(tables) < cache.total_entries()
+        assert all((trials > 0).all() for _, _, trials in separation_calls)  # observed rows only
+
+    @given(st.integers(0, 10_000), st.integers(0, 30), st.integers(0, 4))
+    @example(seed=0, n_obs=0, cap=4)
+    @example(seed=1, n_obs=20, cap=1)
+    @settings(max_examples=15, deadline=None)
+    def test_column_equals_the_classifier_on_each_entrys_table(self, seed, n_obs, cap):
+        rng = np.random.default_rng(seed)
+        n_vars = int(rng.integers(1, 6))
+        data = Dataset(rng.random((n_obs, n_vars)) < rng.uniform(0.1, 0.9, n_vars))
+        cache = build_score_cache(data, GaussianPrior(), min(cap, n_vars - 1))
+        keys = zip(cache.nodes.tolist(), cache.masks.tolist())
+        assert cache.separation().tolist() == [separation_of_patterns(*parent_table(data, *key)) for key in keys]
 
     def test_csv_column_matches_the_design_classifier(self, separated_data):
         cache = build_score_cache(separated_data, GaussianPrior())
-        again = ScoreCache.from_csv(cache.to_csv())
-        seen = set()
-        for node, mask in cache.entries:
-            status = again.separation(node, mask)
+        statuses = ScoreCache.from_csv(cache.to_csv()).separation().tolist()
+        for node, mask, status in zip(cache.nodes.tolist(), cache.masks.tolist(), statuses):
             assert status == separation_of_design(*explicit_design(separated_data, node, mask))
-            seen.add(status)
-        assert seen == set(SeparationStatus)
+        assert set(statuses) == set(SeparationStatus)
+
+    def test_a_shuffled_csv_keeps_each_status_with_its_key(self, separated_data):
+        text = build_score_cache(separated_data, GaussianPrior()).to_csv()
+        head, _, rows = text.partition(CACHE_HEADER + "\n")
+        shuffled = head + CACHE_HEADER + "\n" + "".join(reversed(rows.splitlines(keepends=True)))
+        assert ScoreCache.from_csv(shuffled).to_csv() == text
 
     def test_hand_built_cache_without_data_cannot_classify(self):
         cache = cache_from_scores(1, 0, {(0, 0): 0.0})
         with pytest.raises(ValueError, match="no data"):
-            cache.separation(0, 0)
-        with pytest.raises(KeyError):
-            cache.separation(0, 1)
+            cache.separation()
 
 
 class TestCacheAgainstQuadrature:
@@ -837,7 +869,7 @@ def flat_failures():
 def assert_matches_scalar_reference(cache, prior):
     failures = {(node, mask): message for node, mask, message in cache.diagnostics}
     for (node, mask), entry in cache.entries.items():
-        ref = scalar_irls_fit(*cache.data.parent_table(node, mask), prior_for_node(prior, node, mask))
+        ref = scalar_irls_fit(*parent_table(cache.data, node, mask), prior_for_node(prior, node, mask))
         assert entry.converged == ref.converged, (node, mask)
         assert failures.get((node, mask), "") == ref.failure, (node, mask)
         if ref.failure:
@@ -975,9 +1007,9 @@ class TestBatchedFit:
         # stacks, under a flat prior too: (1, 5) is an st saddle and singular on a flat prior
         data, prior = golden_data(), prior_from_name(name, truth=GOLDEN_TRUTH)
         keys = [(node, mask) for node in (0, 1) for mask in parent_masks(5, node, 2)]
-        fits = [(data.parent_table(*key), prior.for_masks(*np.array([key]).T)) for key in keys]
+        fits = [(parent_table(data, *key), prior.for_masks(*np.array([key]).T)) for key in keys]
         if name != "st":
-            fits += [(data.parent_table(*key), FLAT.terms(1 + key[1].bit_count())) for key in [(0, 2), (1, 5)]]
+            fits += [(parent_table(data, *key), FLAT.terms(1 + key[1].bit_count())) for key in [(0, 2), (1, 5)]]
         alone = [
             _fit_aggregated(*(a[None] for a in table), terms, np.array([table[0].shape[1]])) for table, terms in fits
         ]
@@ -1064,7 +1096,7 @@ class TestBatchedFit:
         narrow = AbnParams.balanced(Dag.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
         wide = AbnParams.balanced(random_dag(6, 0.2, np.random.default_rng(1)))
         wide_data = sample(wide, 400, np.random.default_rng(9))
-        assert all(len(wide_data.parent_table(0, mask)[1]) >= 8 for mask in (0b1110, 0b11110))
+        assert all(len(parent_table(wide_data, 0, mask)[1]) >= 8 for mask in (0b1110, 0b11110))
         for truth, data in ((narrow, sample(narrow, 40, np.random.default_rng(3))), (wide, wide_data)):
             for name in ("wi", "st", "si"):
                 prior = prior_from_name(name, truth=truth)
