@@ -563,7 +563,7 @@ class ScoreCache:
         self.log_score, self.converged = np.asarray(self.log_score, dtype=float), np.asarray(self.converged, dtype=bool)
         arrays = (self.nodes, self.masks, self.log_score, self.converged)
         if self.separations is not None:
-            self.separations = np.asarray(self.separations, dtype=object)
+            self.separations = np.array([SeparationStatus(s) for s in self.separations], dtype=object)
             arrays += (self.separations,)
         if any(a.ndim != 1 or len(a) != len(self.nodes) for a in arrays):
             raise ValueError("cache arrays must have one row per entry, in ascending (node, mask) order")

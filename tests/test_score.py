@@ -443,6 +443,14 @@ class TestScoreCache:
         with pytest.raises(ValueError, match="one row per entry"):
             ScoreCache(2, 1, [0, 1], [0, 0], [0.0, 0.0], [True, True], separations=[SeparationStatus.NONE])
 
+    def test_hand_built_statuses_are_separation_statuses(self):
+        cache = ScoreCache(1, 0, [0], [0], [0.0], [True], separations=["complete"])
+        assert cache.separation().tolist() == [SeparationStatus.COMPLETE]
+        assert cache.to_csv().endswith("0,0,0.0,true,complete\n")
+        for bad in ("bogus", None):
+            with pytest.raises(ValueError, match="not a valid SeparationStatus"):
+                ScoreCache(1, 0, [0], [0], [0.0], [True], separations=[bad])
+
     # a hand-built cache is held to the rules of from_csv; the full cache at n_vars=2 and
     # max_parents=1 is nodes (0, 0, 1, 1) on masks (0, 2, 0, 1)
     @pytest.mark.parametrize(
