@@ -19,7 +19,10 @@ negative Hessian.  For the t family that Hessian need not be positive
 definite; where it has no Cholesky factor the sweep takes an EM step instead,
 replacing the t prior by its conditional Gaussian with working variance
 ``(df * scale^2 + (coef - loc)^2) / (df + 1)``, which shares the posterior's
-stationary points.  Steps that would decrease the log posterior are halved.
+stationary points.  A system that still has no factor is singular, and its fit
+fails.  Steps that would decrease the log posterior are halved.  Every system
+of a stack is factored in one pass of elementwise IEEE operations
+(:func:`_cholesky`), not by LAPACK, so no score depends on the CPU's BLAS kernels.
 
 The node score is the Laplace approximation at the mode
 
@@ -255,21 +258,6 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0, initial=-0.0)
 
 
-def _each(solve, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``solve`` on whole stacks, or row by row once that raises; a row that raises is nan and flagged."""
-    failed = np.zeros(len(stacks[0]), dtype=bool)
-    try:
-        return solve(*stacks), failed
-    except np.linalg.LinAlgError:
-        out = np.full(stacks[-1].shape, np.nan)
-    for i in range(len(out)):
-        try:
-            out[i] = solve(*(stack[i : i + 1] for stack in stacks))[0]
-        except np.linalg.LinAlgError:
-            failed[i] = True
-    return out, failed
-
-
 @dataclass
 class NodeFit:
     """One penalised logistic fit: mode, curvature, score, and why it failed, if it did.
@@ -322,18 +310,68 @@ def fit_node(X: np.ndarray, y: np.ndarray, prior: CoefficientPrior) -> NodeFit:
     return NodeFit(stack.coef[0], stack.neg_hessian[0], *(a[0].item() for a in stack[2:6]), stack.failure[0])
 
 
+def _softplus_pair(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + e^-eta) and log(1 + e^eta) from one logaddexp, bit for bit as ``np.logaddexp(0, -+eta)``.
+
+    logaddexp(0, x) computes max(x, 0) + log1p(exp(-|x|)), and the second term is the same for x and -x.
+    """
+    shared = np.logaddexp(0.0, -np.abs(eta))
+    return np.maximum(-eta, 0.0) + shared, np.maximum(eta, 0.0) + shared
+
+
 @functools.cache
 def _indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row and column indices of a d x d matrix's upper triangle, row by row, and of its diagonal."""
-    return *np.triu_indices(d), np.arange(d)
+    """The row and column indices of a d x d matrix's upper triangle, row by row, and a (d, d) array
+    giving each entry (i, j) the index of (min(i, j), max(i, j)) among them."""
+    row, col = np.triu_indices(d)
+    position = np.empty((d, d), dtype=np.intp)
+    position[row, col] = position[col, row] = np.arange(len(row))
+    return row, col, position
 
 
-def _by_width(widths: np.ndarray) -> list[tuple[int, slice]]:
-    """The runs of equal width in a stack's rows: one per width when the widths ascend."""
-    if not len(widths):
-        return []
-    cuts = (np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()
-    return [(int(widths[lo]), slice(lo, hi)) for lo, hi in zip([0, *cuts], [*cuts, len(widths)])]
+def _systems(packed: np.ndarray, diag: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The symmetric systems (W, W, B) of packed upper triangles (W(W+1)/2, B), plus ``diag`` (W, B).
+
+    A fit's coefficients beyond its width get 1 on the diagonal: their rows and columns are 0
+    otherwise, so the factor and the solve carry them through without touching the fit's own block.
+    """
+    d = len(diag)
+    systems = packed.take(_indices(d)[2], axis=0)
+    k = np.arange(d)
+    systems[k, k] += diag + (k[:, None] >= widths)
+    return systems
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a pivot <= 0 leaves nan or inf in its own fit's factor
+def _cholesky(systems: np.ndarray) -> np.ndarray:
+    """Factor a stack of symmetric systems (W, W, B) in place; return whether each fit's is definite.
+
+    A right-looking Cholesky over all fits at once, made of elementwise IEEE operations (square
+    root, division, rank-1 update), so the factor has the same bits on every CPU and a fit's own
+    block is factored as if it were alone.  The lower triangle becomes L, with L L' the system;
+    a fit is definite when every pivot is positive, and its factor is meaningless otherwise.
+    """
+    definite = np.ones(systems.shape[-1], dtype=bool)
+    for k in range(len(systems)):
+        pivot = systems[k, k]
+        definite &= pivot > 0
+        np.sqrt(pivot, out=pivot)
+        below = systems[k + 1 :, k]
+        below /= pivot
+        systems[k + 1 :, k + 1 :] -= below[:, None] * below
+    return definite
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # see _cholesky
+def _solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L' x = b in place for each fit, ``b`` (W, B), by two column-oriented triangular sweeps."""
+    for k in range(len(b)):
+        b[k] /= factor[k, k]
+        b[k + 1 :] -= factor[k + 1 :, k] * b[k]
+    for k in reversed(range(len(b))):
+        b[k] /= factor[k, k]
+        b[:k] -= factor[k, :k] * b[k]
+    return b
 
 
 class _Stack(NamedTuple):
@@ -363,45 +401,36 @@ class _Stack(NamedTuple):
         terms = np.empty((len(coef), len(self.rows), coef.shape[1]))
         np.multiply(self.rows.transpose(1, 0, 2), coef[:, None], out=terms)
         eta, s, t = _ordered_sum(terms), self.successes, self.trials
-        loglik = _ordered_sum(s * -np.logaddexp(0.0, -eta) + (t - s) * -np.logaddexp(0.0, eta))
-        return loglik + self.prior.log_density(coef), eta
+        down, up = _softplus_pair(eta)
+        return _ordered_sum(s * -down + (t - s) * -up) + self.prior.log_density(coef), eta
 
-    def neg_hessian(self, eta: np.ndarray, prior_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Minus the log likelihood's Hessians (B, W, W) plus ``prior_diag``, and the fitted probabilities."""
+    def gram(self, weights: np.ndarray) -> np.ndarray:
+        """The patterns' Gram matrices under table row weights ``weights`` (P, B), packed (W(W+1)/2, B)."""
+        return _ordered_sum(self.pairs * weights[:, None])
+
+    def likelihood_gram(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minus the log likelihood's Hessians at ``eta`` (P, B), packed, and the fitted probabilities."""
         p = _expit(eta)
-        return self.gram(self.trials * p * (1.0 - p), prior_diag), p
-
-    def gram(self, weights: np.ndarray, prior_diag: np.ndarray) -> np.ndarray:
-        """The patterns' Gram matrices (B, W, W) under table row weights ``weights`` (P, B), plus ``prior_diag``."""
-        packed = _ordered_sum(self.pairs * weights[:, None])
-        d = self.rows.shape[1]
-        i, j, k = _indices(d)
-        hess = np.empty((weights.shape[1], d, d))
-        hess[:, i, j] = hess[:, j, i] = packed.T
-        hess[:, k, k] += prior_diag.T
-        return hess
+        return self.gram(self.trials * p * (1.0 - p)), p
 
     def data_start(self) -> np.ndarray:
         """Each fit's first iterate (W, B): one penalised weighted least-squares step from the data.
 
         The fitted probabilities start at (s + 1/2) / (t + 1) per table row, as GLM fitting starts
         its IRLS; the prior enters as pseudo-observations at its centre, with its working precision
-        there.  A fit whose leading block of this system is singular, or solves to a non-finite
-        start, starts at the prior centre.
+        there.  A fit whose system has no Cholesky factor, or solves to a non-finite start, starts
+        at the prior centre.
         """
         s, t, prior = self.successes, self.trials, self.prior
         mu = (s + 0.5) / (t + 1.0)
         weights = t * mu * (1.0 - mu)
         precision = prior.precision(prior.centre)
-        gram = self.gram(weights, precision)
+        factor = _systems(self.gram(weights), precision, self.widths)
+        definite = _cholesky(factor)
         rhs = _ordered_sum(self.rows * (weights * _log((s + 0.5) / (t - s + 0.5)))[:, None])
         rhs += precision * prior.centre
-        beta = prior.centre.copy()
-        for w, fits in _by_width(self.widths):
-            solved, _ = _each(np.linalg.solve, gram[fits, :w, :w], rhs[:w, fits].T[..., None])
-            start = solved[..., 0].T  # nan where singular
-            beta[:w, fits] = np.where(np.isfinite(start).all(axis=0), start, beta[:w, fits])
-        return beta
+        start = _solve(factor, rhs)
+        return np.where(definite & np.isfinite(start).all(axis=0), start, prior.centre)
 
 
 @np.errstate(over="ignore")  # see _expit
@@ -416,11 +445,13 @@ def _fit_aggregated(
 
     ``patterns`` is (B, P, W), ``successes`` and ``trials`` (B, P), and ``terms`` has B rows of W.
     Fit i has ``widths[i]`` coefficients; a narrower table is padded with zero pattern columns whose
-    coefficients sit at centre 0 with infinite spread, and every linear solve and Cholesky factor
-    works on a fit's own leading block.  Each fit starts from its data (:meth:`_Stack.data_start`),
+    coefficients sit at centre 0 with infinite spread and 1 on the diagonal of every system
+    (:func:`_systems`), so one elementwise Cholesky (:func:`_cholesky`) factors the fits of all
+    widths at once, each as if alone.  Each fit starts from its data (:meth:`_Stack.data_start`),
     and each sweep solves with the exact negative Hessian; under the t prior a fit whose Hessian
-    block has no Cholesky factor uses the EM working precision in place of the prior's curvature
-    for that sweep.  Each fit steps, halves its step, converges (no coefficient
+    has no Cholesky factor is factored again with the EM working precision in place of the prior's
+    curvature, and a fit whose final system has no factor fails as singular.  ``neg_hessian``
+    comes back with those padded 1s.  Each fit steps, halves its step, converges (no coefficient
     moved by ``TOL`` in a sweep) or fails on its own.  The arguments are transposed once, fits last
     (see :class:`_Stack`), so that every sum over table rows or coefficients runs over a leading
     axis, in index order: a score owes no bit to its stack, to zero-trial rows or to padded columns.
@@ -444,21 +475,21 @@ def _fit_aggregated(
         sweeps[active] = sweep
         coef = beta.take(active, axis=1)
         inv_var = run.prior.precision(coef)
-        if prior.df is None:
-            hess, p = run.neg_hessian(eta.take(active, axis=1), inv_var)
-        else:
-            curvature = run.prior.curvature(coef)
-            hess, p = run.neg_hessian(eta.take(active, axis=1), curvature)
-            _working_precision_where_indefinite(hess, run.widths, inv_var - curvature)
+        packed, p = run.likelihood_gram(eta.take(active, axis=1))
+        factor = _systems(packed, inv_var if prior.df is None else run.prior.curvature(coef), run.widths)
+        definite = _cholesky(factor)
+        if prior.df is not None and not definite.all():
+            # the t prior's curvature leaves these systems indefinite: factor them with the EM step's precision
+            em = np.flatnonzero(~definite)
+            retry = _systems(packed.take(em, axis=1), inv_var.take(em, axis=1), run.widths[em])
+            definite[em] = _cholesky(retry)
+            factor[..., em] = retry
         grad = _ordered_sum(run.rows * (run.successes - run.trials * p)[:, None])
         grad -= (coef - run.prior.centre) * inv_var
-        step, singular = np.zeros_like(grad), np.zeros(len(active), dtype=bool)
-        for w, fits in _by_width(run.widths):
-            solved, singular[fits] = _each(np.linalg.solve, hess[fits, :w, :w], grad[:w, fits].T[..., None])
-            step[:w, fits] = solved[..., 0].T
-        for i in active[singular]:
+        step = _solve(factor, grad)
+        for i in active[~definite]:
             failure[i] = f"weighted system singular at sweep {sweep} (flat prior on a separated design?)"
-        ok = np.flatnonzero(~singular)
+        ok = np.flatnonzero(definite)
         active, coef, step, run = active[ok], coef.take(ok, axis=1), step.take(ok, axis=1), run.take(ok)
         before, candidate = current[active], coef + step
         value, moved = run.log_post(candidate)
@@ -476,11 +507,12 @@ def _fit_aggregated(
     for i in active:
         failure[i] = f"no convergence in {MAX_ITER} sweeps"
 
-    neg_hessian, _ = stack.neg_hessian(eta, prior.curvature(beta))
+    systems = _systems(stack.likelihood_gram(eta)[0], prior.curvature(beta), widths)
+    neg_hessian = np.ascontiguousarray(systems.transpose(2, 0, 1))
     beta = np.ascontiguousarray(beta.T)
     unfailed = np.array([not message for message in failure])
     scored = np.flatnonzero(unfailed & (trials.sum(axis=0) > 0))
-    value = _laplace_value(current[scored], neg_hessian[scored], widths[scored])
+    value = _laplace_value(current[scored], systems.take(scored, axis=-1), widths[scored])
     log_marginal = np.where(unfailed, 0.0, -np.inf)  # 0 is the score of an empty table
     log_marginal[scored] = np.where(np.isfinite(value), value, -np.inf)
     for i in scored[~np.isfinite(value)]:
@@ -488,41 +520,17 @@ def _fit_aggregated(
     return FitStack(beta, neg_hessian, current, log_marginal, converged, sweeps, failure, int(sweeps.max(initial=0)))
 
 
-def _working_precision_where_indefinite(hess: np.ndarray, widths: np.ndarray, extra: np.ndarray) -> None:
-    """Add ``extra`` (W, B) to the diagonal of each of ``hess``'s fits whose leading block has no Cholesky factor.
-
-    One Cholesky factorisation per width checks all of its fits at once.  Only when that raises are
-    the fits told apart: a symmetric matrix has a Cholesky factor when its leading minors are all
-    positive (Sylvester's criterion), and their signs come from batched LU determinants.
-    """
-    for w, fits in _by_width(widths):
-        block = hess[fits, :w, :w]
-        try:
-            np.linalg.cholesky(block)
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        # minor j of every fit in one batch: the leading j x j block bordered by the identity
-        k = np.arange(w)
-        leading = (k[:, None, None] >= k) & (k[:, None, None] >= k[:, None])  # (minor, row, column)
-        minors = np.where(leading[:, None], block, np.eye(w))
-        definite = (np.linalg.slogdet(minors)[0] > 0).all(axis=0)
-        rows = fits.start + np.flatnonzero(~definite)
-        hess[rows[:, None], k, k] += extra[:w, rows].T
-
-
 def _laplace_value(
     log_posterior_at_mode: np.ndarray, neg_hessian: np.ndarray, widths: np.ndarray
 ) -> np.ndarray:
     """The Laplace log marginals of a stack of modes; nan where the negative Hessian has no Cholesky factor.
 
-    Fit i's negative Hessian is the leading ``widths[i]`` block of ``neg_hessian[i]``.
+    ``neg_hessian`` holds the fits' systems (W, W, B) as :func:`_systems` builds them, and is
+    factored in place; a padded coefficient's pivot of 1 adds log 1 = 0 to the log-determinant.
     """
-    log_det = np.empty(len(widths))
-    for w, rows in _by_width(widths):
-        chol, _ = _each(np.linalg.cholesky, neg_hessian[rows, :w, :w])
-        diagonals = np.diagonal(chol, axis1=1, axis2=2).T.copy()  # coefficients first, (w, B)
-        log_det[rows] = 2.0 * _ordered_sum(np.log(diagonals))
+    definite = _cholesky(neg_hessian)
+    diagonals = np.where(definite, np.diagonal(neg_hessian).T, np.nan)  # coefficients first, (W, B)
+    log_det = 2.0 * _ordered_sum(_log(diagonals))
     return log_posterior_at_mode + 0.5 * widths * LOG_2PI - 0.5 * log_det
 
 

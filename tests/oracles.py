@@ -609,13 +609,15 @@ def scalar_irls_fit(
     The first iterate is one penalised weighted least-squares step from the
     fitted probabilities (s + 1/2) / (t + 1), with the prior as
     pseudo-observations at its centre under its working precision there; a
-    singular or non-finite start keeps the centre.  Each sweep is a Newton step
-    on the exact log posterior where its negative Hessian has a Cholesky
-    factor, and otherwise uses the prior's working precision in place of its
-    curvature.  Convergence when no coefficient moves by 1e-8 in a sweep;
-    step-halving on a drop of more than 1e-12, at most 30 halvings a sweep; the
-    failure is the first of a singular weighted system, no convergence in 200
-    sweeps, and a Laplace value without a Cholesky factor.
+    start system without a Cholesky factor, or a non-finite start, keeps the
+    centre.  Each sweep is a Newton step on the exact log posterior where its
+    negative Hessian has a Cholesky factor, and otherwise uses the prior's
+    working precision in place of its curvature.  Convergence when no
+    coefficient moves by 1e-8 in a sweep; step-halving on a drop of more than
+    1e-12, at most 30 halvings a sweep; the failure is the first of a singular
+    weighted system (one without a Cholesky factor), no convergence in 200
+    sweeps, and a Laplace value without a Cholesky factor.  Every system is
+    factored and solved by :func:`_scalar_cholesky` and :func:`_cholesky_solve`.
     """
     n_coef = patterns.shape[1]
     centre, log_density, precision, curvature = _scalar_prior_terms(prior, n_coef)
@@ -636,12 +638,11 @@ def scalar_irls_fit(
     start_precision = precision(centre)
     system = (patterns * start_weights[:, None]).T @ patterns
     system[diag, diag] += start_precision
-    try:
-        start = np.linalg.solve(system, patterns.T @ (start_weights * response) + start_precision * centre)
+    chol = _scalar_cholesky(system)
+    if chol is not None:
+        start = _cholesky_solve(chol, patterns.T @ (start_weights * response) + start_precision * centre)
         if np.isfinite(start).all():
             beta = start
-    except np.linalg.LinAlgError:
-        pass
 
     current = log_post(beta)
     converged = False
@@ -654,19 +655,18 @@ def scalar_irls_fit(
         weighted = (patterns * w[:, None]).T @ patterns
         hess = weighted.copy()
         hess[diag, diag] += curvature(beta)
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
+        chol = _scalar_cholesky(hess)
+        if chol is None:
             hess = weighted
             hess[diag, diag] += inv_var
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
+            chol = _scalar_cholesky(hess)
+        if chol is None:
             failure = (
                 f"weighted system singular at sweep {iterations} "
                 "(flat prior on a separated design?)"
             )
             break
+        step = _cholesky_solve(chol, grad)
         candidate = beta + step
         value = log_post(candidate)
         halvings = 0
@@ -690,17 +690,52 @@ def scalar_irls_fit(
     if not failure and trials.sum() == 0:
         log_marginal = 0.0
     elif not failure:
-        try:
-            chol = np.linalg.cholesky(neg_hessian)
-            log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            value = current + 0.5 * n_coef * math.log(2.0 * math.pi) - 0.5 * log_det
-        except np.linalg.LinAlgError:
+        chol = _scalar_cholesky(neg_hessian)
+        if chol is None:
             value = float("nan")
+        else:
+            log_det = 2.0 * sum(math.log(chol[k][k]) for k in range(n_coef))
+            value = current + 0.5 * n_coef * math.log(2.0 * math.pi) - 0.5 * log_det
         if math.isfinite(value):
             log_marginal = value
         else:
             failure = "non-finite log score"
     return NodeFit(beta, neg_hessian, current, log_marginal, converged, iterations, failure)
+
+
+def _scalar_cholesky(matrix: np.ndarray) -> list[list[float]] | None:
+    """The lower Cholesky factor of a symmetric matrix as nested lists, or None once a pivot is not positive.
+
+    Scalar float arithmetic in the engine's order: a square root per pivot, then one division per
+    entry below it and one rank-1 update of the block right of it, with no fused multiply-add.  A
+    near-singular system, such as a flat-prior fit running off on a separated table, is then judged
+    on the same roundings as in the engine; LAPACK's factor can round its last pivot either way.
+    """
+    a = [[float(v) for v in row] for row in matrix]
+    for k in range(len(a)):
+        if not a[k][k] > 0.0:
+            return None
+        a[k][k] = math.sqrt(a[k][k])
+        for i in range(k + 1, len(a)):
+            a[i][k] /= a[k][k]
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, i + 1):
+                a[i][j] -= a[i][k] * a[j][k]
+    return a
+
+
+def _cholesky_solve(chol: list[list[float]], b: np.ndarray) -> np.ndarray:
+    """Solve L L' x = b with L from :func:`_scalar_cholesky`: forward, then back, column by column."""
+    x = [float(v) for v in b]
+    for k in range(len(x)):
+        x[k] /= chol[k][k]
+        for i in range(k + 1, len(x)):
+            x[i] -= chol[i][k] * x[k]
+    for k in reversed(range(len(x))):
+        x[k] /= chol[k][k]
+        for i in range(k):
+            x[i] -= chol[k][i] * x[k]
+    return np.array(x)
 
 
 # ---------------------------------------------------------------------------

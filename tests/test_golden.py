@@ -6,8 +6,9 @@ study (wi, st, si), and the score-cache CSV of one fixed dataset under each
 of the three priors.  The dataset is small enough that some candidate fits
 are separated and some ``st`` entries are scored -inf, so failed fits are
 pinned too.  A refactor must reproduce every file exactly, on every CPU:
-numpy picks SIMD kernels by CPU, so the files are also checked with the
-kernels this CPU would get turned off.  A change meant to move results
+numpy picks SIMD kernels by CPU, and OpenBLAS its BLAS kernels, so the files
+are also checked with the numpy kernels this CPU would get turned off, and
+under two older OpenBLAS kernel sets.  A change meant to move results
 regenerates them with ``python tests/test_golden.py`` and shows the old and
 new numbers.
 
@@ -112,31 +113,46 @@ def active_simd_features() -> list[str]:
     return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
 
 
-SIMD_OFF_SCRIPT = """
+CHILD_SCRIPT = """
 import sys
 
 sys.path[:0] = sys.argv[1:3]
 import test_golden
 
-assert not test_golden.active_simd_features(), test_golden.active_simd_features()
+if "simd-off" in sys.argv[3:]:
+    assert not test_golden.active_simd_features(), test_golden.active_simd_features()
 differ = [name for name, render in test_golden.CASES.items() if render() != (test_golden.GOLDEN / name).read_text()]
 print(",".join(differ))
 """
+
+
+def goldens_that_differ_in_a_child(env: dict, *flags: str) -> str:
+    """The names of the ``CASES`` files a fresh interpreter renders differently under ``env`` added to ours."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_SCRIPT, str(Path(__file__).resolve().parent), str(SRC), *flags],
+        env={**os.environ, **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_output_matches_golden_files_with_numpy_simd_kernels_off():
     # numpy's AVX-512 float64 exp, for one, differs from the C library's in the last bit
     features = active_simd_features()
     disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *features])
-    proc = subprocess.run(
-        [sys.executable, "-c", SIMD_OFF_SCRIPT, str(Path(__file__).resolve().parent), str(SRC)],
-        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "", f"differ with {features} off: {proc.stdout.strip()}"
+    differ = goldens_that_differ_in_a_child({"NPY_DISABLE_CPU_FEATURES": disabled}, "simd-off")
+    assert differ == "", f"differ with {features} off: {differ}"
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_output_matches_golden_files_under_other_openblas_kernels(core):
+    # OpenBLAS picks its kernels by CPU, and they round differently (fused multiply-adds, for one);
+    # the variable names a kernel set older than this CPU's, and a numpy without OpenBLAS ignores it
+    differ = goldens_that_differ_in_a_child({"OPENBLAS_CORETYPE": core})
+    assert differ == "", f"differ with OpenBLAS core type {core}: {differ}"
 
 
 def test_st_failures_are_converged_fits_without_a_laplace_value():

@@ -361,7 +361,7 @@ class TestLogMarginal:
         rng = np.random.default_rng(10)
         X, y = bernoulli_design(rng, 30, [0.0, 0.0])
         fit = fit_node(X, y, GaussianPrior())
-        [value] = _laplace_value(np.array([fit.log_posterior]), -np.eye(2)[None], np.array([2]))
+        [value] = _laplace_value(np.array([fit.log_posterior]), -np.eye(2)[..., None], np.array([2]))
         assert not np.isfinite(value)
 
 
@@ -947,6 +947,80 @@ class TestOrderedSum:
 
     def test_an_empty_sum_is_zero(self):
         assert score_module._ordered_sum(np.zeros((0, 3))).tobytes() == np.zeros(3).tobytes()
+
+
+def spd_stack(rng, widths, width):
+    """Random positive-definite systems of ``widths``, packed and padded as a stack of ``width`` builds them."""
+    row, col, _ = score_module._indices(width)
+    packed = np.zeros((len(row), len(widths)))
+    matrices = []
+    for i, w in enumerate(widths):
+        a = rng.standard_normal((w, w))
+        m = a @ a.T + 0.5 * np.eye(w)
+        matrices.append(m)
+        inside = (row < w) & (col < w)
+        packed[inside, i] = m[row[inside], col[inside]]
+    return score_module._systems(packed, np.zeros((width, len(widths))), np.array(widths)), matrices
+
+
+class TestCholeskyKernel:
+    def test_mixed_widths_match_lapack(self):
+        rng = np.random.default_rng(31)
+        widths = rng.integers(1, 7, 200)
+        systems, matrices = spd_stack(rng, widths, 6)
+        b = rng.standard_normal((6, len(widths)))
+        b[np.arange(6)[:, None] >= widths] = 0.0
+        factor = systems.copy()
+        assert score_module._cholesky(factor).all()
+        x = score_module._solve(factor, b.copy())
+        for i, (w, m) in enumerate(zip(widths, matrices)):
+            assert np.allclose(np.tril(factor[:w, :w, i]), np.linalg.cholesky(m), rtol=1e-10, atol=0.0)
+            assert np.allclose(x[:w, i], np.linalg.solve(m, b[:w, i]), rtol=1e-10, atol=1e-12)
+            # a padded coefficient keeps a pivot of 1 and a solution of 0
+            assert (np.diagonal(factor)[i, w:] == 1.0).all() and not x[w:, i].any()
+
+    def test_indefinite_and_singular_blocks_are_flagged(self):
+        row, col, _ = score_module._indices(3)
+        blocks = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([2.0, 0.0, 3.0])]
+        blocks += [np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[np.nan]])]
+        packed = np.zeros((len(row), len(blocks)))
+        for i, m in enumerate(blocks):
+            inside = (row < len(m)) & (col < len(m))
+            packed[inside, i] = m[row[inside], col[inside]]
+        widths = np.array([len(m) for m in blocks])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = score_module._systems(packed, np.zeros((3, len(blocks))), widths)
+            definite = score_module._cholesky(factor)
+            score_module._solve(factor, np.ones((3, len(blocks))))
+        assert definite.tolist() == [False, False, False, True, False]
+
+    def test_a_fit_alone_equals_its_block_in_a_wider_stack(self):
+        rng = np.random.default_rng(32)
+        for w in range(1, 6):
+            widths = [6, w, 3, 1, 6]
+            systems, _ = spd_stack(rng, widths, 6)
+            b = rng.standard_normal((6, len(widths)))
+            b[np.arange(6)[:, None] >= np.array(widths)] = 0.0
+            row, col, _ = score_module._indices(w)
+            packed = systems[row, col, 1][:, None]
+            alone = score_module._systems(packed, np.zeros((w, 1)), np.array([w]))
+            assert score_module._cholesky(alone)[0] and score_module._cholesky(systems).all()
+            assert np.tril(alone[..., 0]).tobytes() == np.tril(systems[:w, :w, 1]).tobytes()
+            x_alone = score_module._solve(alone, b[:w, 1:2].copy())
+            x_stack = score_module._solve(systems, b.copy())
+            assert x_alone[:, 0].tobytes() == x_stack[:w, 1].tobytes()
+
+    def test_one_logaddexp_gives_both_softplus_terms_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 745.0, -745.0, 745.2, -745.2, 710.0, -710.0]
+        edges += [1e-300, -1e-300, 37.0, -37.0, 1.0, -1.0, np.inf, -np.inf, np.finfo(float).max, -np.finfo(float).max]
+        magnitudes = 10.0 ** rng.uniform(-320, 308, 200_000)
+        eta = np.concatenate([edges, magnitudes * rng.choice([-1.0, 1.0], 200_000), rng.uniform(-800, 800, 200_000)])
+        down, up = score_module._softplus_pair(eta)
+        assert down.tobytes() == np.logaddexp(0.0, -eta).tobytes()
+        assert up.tobytes() == np.logaddexp(0.0, eta).tobytes()
 
 
 class TestBatchedFit:
